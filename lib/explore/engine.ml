@@ -3,8 +3,10 @@
    Phase order matters for both cost and determinism:
 
    1. enumerate   — Config.enumerate, canonical order (serial);
-   2. synthesize  — schedule (one per scheduler, memoized) + allocate
-                    every cell; cheap, runs on the submitting domain;
+   2. synthesize  — schedule (one per scheduler, memoized) + allocate,
+                    bound and estimate every cell on the submitting
+                    domain; the static bound/estimate analysis makes
+                    this the dominant cost of a cold exploration;
    3. prune       — constraint check on exact pre-simulation bounds;
    4. cache       — digest + lookup on the submitting domain, so hit
                     bookkeeping never races;
@@ -92,7 +94,9 @@ let prepare ?(tech = Mclock_tech.Cmos08.t) ?(width = 4) ?(max_clocks = 4)
         slot := Some s;
         s
   in
-  (* Synthesize + bound + estimate every cell (serial, cheap). *)
+  (* Synthesize + bound + estimate every cell, serially.  Not cheap: the
+     static analysis behind the bounds and the estimate is about 81% of
+     a cold exploration of the catalog at 50 computations. *)
   let cells =
     List.mapi
       (fun i config ->

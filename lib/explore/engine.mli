@@ -79,9 +79,11 @@ val prepare :
   sched_constraints:Mclock_sched.List_sched.constraints ->
   Mclock_dfg.Graph.t ->
   space
-(** Enumerate, synthesize, bound and estimate the whole grid (serial,
-    cheap — no simulation).  [iterations] is the evaluation fidelity
-    the bounds certify (the reset transient amortizes over it). *)
+(** Enumerate, synthesize, bound and estimate the whole grid, serially
+    and without simulation.  The static analysis behind the bounds and
+    the estimate dominates a cold exploration.  [iterations] is the
+    evaluation fidelity the bounds certify (the reset transient
+    amortizes over it). *)
 
 val cell_key : space -> seed:int -> iterations:int -> prepared -> string
 (** The cell's content digest at the given evaluation fidelity —

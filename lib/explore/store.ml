@@ -35,7 +35,8 @@ let dir t = t.dir
 let registry t = t.obs
 let bump c = Mclock_obs.Registry.incr c
 
-(* A run killed between temp-write and rename leaves a ".<key>.<pid>.tmp"
+(* A run killed between temp-write and rename leaves a
+   ".<key>.<pid>.<domain>.tmp"
    orphan behind.  They are invisible to lookups but accumulate
    forever, so opening the store sweeps them — age-gated, because a
    young temp file may belong to a live concurrent writer about to
@@ -140,12 +141,15 @@ let encode_entry ~key metrics =
   Mclock_util.Json.to_string_pretty entry ^ "\n"
 
 (* Atomic write: temp file in the same directory, then rename.  The
-   temp name embeds the key and pid so concurrent writers never
-   collide and the opening sweep can age out orphans. *)
+   temp name embeds the key, the pid and the domain id, so concurrent
+   writers never collide — across processes or across the domains of
+   one process — and the opening sweep can age out orphans. *)
 let write_atomic t ~key ~dest text =
   match
     let tmp =
-      Filename.concat t.dir (Printf.sprintf ".%s.%d.tmp" key (Unix.getpid ()))
+      Filename.concat t.dir
+        (Printf.sprintf ".%s.%d.%d.tmp" key (Unix.getpid ())
+           (Domain.self () :> int))
     in
     let oc = open_out_bin tmp in
     (match output_string oc text with

@@ -69,18 +69,18 @@ let global_component = 0
 let create ?(max_comp = 15) () =
   { cells = Array.make ((max_comp + 1) * num_categories) 0.; total = 0. }
 
-let ensure t comp =
+let grow t comp =
   let needed = (comp + 1) * num_categories in
-  if needed > Array.length t.cells then begin
-    let cells = Array.make (max needed (2 * Array.length t.cells)) 0. in
-    Array.blit t.cells 0 cells 0 (Array.length t.cells);
-    t.cells <- cells
-  end
+  let cells = Array.make (max needed (2 * Array.length t.cells)) 0. in
+  Array.blit t.cells 0 cells 0 (Array.length t.cells);
+  t.cells <- cells
 
-let add t ~comp ~category pj =
+(* Small enough to inline: the growth path is out of line behind one
+   bound check, which a pre-sized accumulator never fails. *)
+let[@inline] add t ~comp ~category pj =
   if pj <> 0. then begin
-    ensure t comp;
     let i = (comp * num_categories) + category_index category in
+    if i >= Array.length t.cells then grow t comp;
     t.cells.(i) <- t.cells.(i) +. pj;
     t.total <- t.total +. pj
   end

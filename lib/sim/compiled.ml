@@ -4,8 +4,8 @@
    re-diffed with list scans, the combinational pass re-dispatches on
    [Comp.kind], and every energy coefficient is recomputed from the
    technology library.  This module compiles [(tech, design)] once into
-   dense arrays so the per-cycle path is branch-light and (apart from
-   user-visible output envs) allocation-free:
+   dense arrays so the per-cycle path is branch-light and
+   allocation-free:
 
    - control words become per-step *deltas*: the mux-select and ALU-op
      writes that actually change state, plus the load-line toggle count
@@ -20,7 +20,11 @@
      energy is a table indexed by Hamming distance);
    - datapath values are raw int payloads; transitions are counted
      with [Bitvec.popcount] on xors;
-   - activity accumulates into the flat [Activity.t] cells directly.
+   - activity accumulates into the flat [Activity.t] cells directly;
+   - primary inputs are read from, and output taps written to, the
+     run's int matrices (one row per computation, one column per
+     variable), so no map is touched per cycle;
+   - every per-cycle walk is an index loop: no closure is allocated.
 
    On top of the precompilation the kernel skips quiescent components:
    change *stamps* record the cycle at which a value, mux select, or
@@ -120,7 +124,13 @@ type t = {
   max_id : int;
   comps : Comp.t list; (* for VCD signal registration *)
   graph_inputs : (Var.t * int) list;
-  plumbing : (Var.t * int * int) array; (* (var, port, register id | -1) *)
+  input_vars : Var.t array; (* input matrix columns *)
+  output_vars : Var.t array; (* output matrix columns *)
+  (* (input column, port) pairs: direct ports update at step 1,
+     register-backed ones at the final step. *)
+  direct_ports : (int * int) array;
+  reg_ports : (int * int) array;
+  reset : (int * int * int) array; (* (column, port, register id | -1) *)
   first_ctrl : step_ctrl array; (* by step - 1; cycles 1..t_steps *)
   steady_ctrl : step_ctrl array; (* by step - 1; all later cycles *)
   loads_at : bool array array; (* step -> id -> load line high *)
@@ -128,7 +138,7 @@ type t = {
   default_ops : (int * int) array; (* ALU reset functions *)
   instrs : instr array; (* combinational order *)
   stors_at : stor array array array; (* step -> phase -> active storages *)
-  taps_at : (Var.t * int) array array; (* step -> output taps ready *)
+  taps_at : (int * int) array array; (* step -> (column, source) ready *)
   e_port : float;
   e_mux_data : float;
   e_mux_sel : float;
@@ -314,20 +324,30 @@ let compile tech design =
         else None)
       (Datapath.storages datapath)
   in
-  let plumbing =
+  let reset =
     Array.of_list
-      (List.map
-         (fun (v, port) ->
-           (v, port, Option.value (input_register v) ~default:(-1)))
+      (List.mapi
+         (fun col (v, port) ->
+           (col, port, Option.value (input_register v) ~default:(-1)))
          graph_inputs)
   in
+  let ports registered =
+    Array.of_list
+      (List.filter_map
+         (fun (col, port, reg) ->
+           if (reg >= 0) = registered then Some (col, port) else None)
+         (Array.to_list reset))
+  in
+  let output_vars = Simulator.output_columns design in
   let taps_at =
     Array.init (t_steps + 1) (fun step ->
         Array.of_list
           (List.filter_map
              (fun tap ->
                if tap.Design.ready_step = step then
-                 Some (tap.Design.var, encode tap.Design.source)
+                 Some
+                   ( Simulator.column output_vars tap.Design.var,
+                     encode tap.Design.source )
                else None)
              (Design.output_taps design)))
   in
@@ -346,7 +366,11 @@ let compile tech design =
     max_id;
     comps;
     graph_inputs;
-    plumbing;
+    input_vars = Simulator.input_columns design;
+    output_vars;
+    direct_ports = ports false;
+    reg_ports = ports true;
+    reset;
     first_ctrl;
     steady_ctrl;
     loads_at;
@@ -367,9 +391,9 @@ let compile tech design =
 
 (* The complete mutable run state, factored out so a prefix run can be
    snapshotted and resumed.  [Simulator.result]-visible accumulations
-   (activity, outputs) live here next to the kernel-internal arrays;
-   everything is deep-copied by [copy_state], so a checkpoint is
-   independent of the run that produced it. *)
+   (activity, the output matrix) live here next to the kernel-internal
+   arrays; everything is deep-copied by [copy_state], so a checkpoint
+   is independent of the run that produced it. *)
 type rstate = {
   s_values : int array;
   s_val_stamp : int array;
@@ -382,8 +406,7 @@ type rstate = {
   s_alu_busy_prev : bool array;
   s_load_prev : bool array;
   s_activity : Activity.t;
-  mutable s_outputs_rev : Golden.env list; (* completed iterations *)
-  mutable s_current : Golden.env; (* taps of the iteration in progress *)
+  mutable s_outputs : int array array; (* one row per computation *)
 }
 
 (* A checkpoint after [ck_iterations] computations.  The state is the
@@ -393,23 +416,29 @@ type rstate = {
    to register-backed ports during it), so [resume] re-executes it
    with the extension-aware behavior while the prefix run executed it
    in final-cycle form for its own result.  Everything else — values,
-   stamps, the activity accumulator, recorded outputs, the RNG
-   position after drawing the prefix stimulus — transfers verbatim. *)
+   stamps, the activity accumulator, the output rows (the last one
+   still missing its final-step taps), the RNG position after drawing
+   the prefix stimulus — transfers verbatim. *)
 type checkpoint = {
   ck_width : int;
   ck_t_steps : int;
   ck_n : int; (* component array length, for shape validation *)
+  ck_n_in : int; (* input matrix columns *)
+  ck_n_out : int; (* output matrix columns *)
   ck_seed : int;
   ck_iterations : int;
   ck_stimulus : bool; (* prefix ran on a user-supplied stimulus *)
-  ck_rng : int64; (* RNG state after drawing the prefix envs *)
-  ck_envs : Golden.env array; (* the prefix's input envs *)
+  ck_rng : int64; (* RNG state after drawing the prefix inputs *)
+  ck_inputs : int array array; (* the prefix's input rows *)
   ck_state : rstate;
 }
 
 let checkpoint_iterations ck = ck.ck_iterations
 
-let fresh_state k env0 =
+let output_rows k n =
+  Array.make_matrix n (Array.length k.output_vars) Simulator.unobserved
+
+let fresh_state k ~iterations row0 =
   let n = k.max_id + 1 in
   let st =
     {
@@ -430,19 +459,18 @@ let fresh_state k env0 =
       s_alu_busy_prev = Array.make n false;
       s_load_prev = Array.make n false;
       s_activity = Activity.create ~max_comp:k.max_id ();
-      s_outputs_rev = [];
-      s_current = Var.Map.empty;
+      s_outputs = output_rows k iterations;
     }
   in
   Array.iter (fun (id, code) -> st.s_alu_op.(id) <- code) k.default_ops;
   (* Reset: ports and input registers preloaded with the first
      computation's values (no energy charged). *)
   Array.iter
-    (fun (v, port, reg) ->
-      let v0 = B.to_int (Var.Map.find v env0) in
+    (fun (col, port, reg) ->
+      let v0 = row0.(col) in
       st.s_values.(port) <- v0;
       if reg >= 0 then st.s_values.(reg) <- v0)
-    k.plumbing;
+    k.reset;
   st
 
 let copy_state st =
@@ -458,8 +486,7 @@ let copy_state st =
     s_alu_busy_prev = Array.copy st.s_alu_busy_prev;
     s_load_prev = Array.copy st.s_load_prev;
     s_activity = Activity.copy st.s_activity;
-    s_outputs_rev = st.s_outputs_rev;
-    s_current = st.s_current;
+    s_outputs = Array.map Array.copy st.s_outputs;
   }
 
 (* Trace signals are looked up before registering so a resumed run can
@@ -480,8 +507,9 @@ let setup_signals k trace =
 
 (* Execute cycles [from_cycle .. to_cycle] of a run totalling
    [iterations] computations.  The body is the hot path; all state
-   arrays are re-bound to locals once per range. *)
-let exec_range k st ~envs ~iterations ?trace ?observer ~vcd_signals
+   arrays are re-bound to locals once per range, and every walk is an
+   index loop so a cycle allocates nothing. *)
+let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
     ~from_cycle ~to_cycle () =
   let width = k.width in
   let values = st.s_values in
@@ -495,7 +523,7 @@ let exec_range k st ~envs ~iterations ?trace ?observer ~vcd_signals
   let alu_busy_prev = st.s_alu_busy_prev in
   let load_prev = st.s_load_prev in
   let activity = st.s_activity in
-  let charge ~comp ~category pj = Activity.add activity ~comp ~category pj in
+  let outs = st.s_outputs in
   let record_trace cycle =
     match trace with
     | Some { Simulator.vcd; max_cycles } when cycle <= max_cycles ->
@@ -505,14 +533,18 @@ let exec_range k st ~envs ~iterations ?trace ?observer ~vcd_signals
              vcd_signals)
     | Some _ | None -> ()
   in
-  let apply_port ~cycle env (v, port, _) =
-    let fresh = B.to_int (Var.Map.find v env) in
-    let h = B.popcount (values.(port) lxor fresh) in
-    if h > 0 then begin
-      charge ~comp:port ~category:Activity.Data (float_of_int h *. k.e_port);
-      values.(port) <- fresh;
-      val_stamp.(port) <- cycle
-    end
+  let apply_ports ~cycle row ports =
+    for i = 0 to Array.length ports - 1 do
+      let col, port = ports.(i) in
+      let fresh = row.(col) in
+      let h = B.popcount (values.(port) lxor fresh) in
+      if h > 0 then begin
+        Activity.add activity ~comp:port ~category:Activity.Data
+          (float_of_int h *. k.e_port);
+        values.(port) <- fresh;
+        val_stamp.(port) <- cycle
+      end
+    done
   in
   for cycle = from_cycle to to_cycle do
     let step = ((cycle - 1) mod k.t_steps) + 1 in
@@ -520,129 +552,124 @@ let exec_range k st ~envs ~iterations ?trace ?observer ~vcd_signals
     let phase = Clock.phase_of_cycle k.clock cycle in
     let first_eval = cycle = 1 in
     (* 1. Fresh inputs. *)
-    if step = 1 then begin
-      st.s_current <- Var.Map.empty;
-      if iter_idx > 0 then
-        Array.iter
-          (fun ((_, _, reg) as p) ->
-            if reg < 0 then apply_port ~cycle envs.(iter_idx) p)
-          k.plumbing
-    end;
+    if step = 1 && iter_idx > 0 then
+      apply_ports ~cycle ins.(iter_idx) k.direct_ports;
     if step = k.t_steps && iter_idx + 1 < iterations then
-      Array.iter
-        (fun ((_, _, reg) as p) ->
-          if reg >= 0 then apply_port ~cycle envs.(iter_idx + 1) p)
-        k.plumbing;
+      apply_ports ~cycle ins.(iter_idx + 1) k.reg_ports;
     (* 2. Control deltas. *)
     let sc =
       (if cycle <= k.t_steps then k.first_ctrl else k.steady_ctrl).(step - 1)
     in
-    Array.iter
-      (fun (mux_id, idx) ->
-        mux_sel.(mux_id) <- idx;
-        ctrl_stamp.(mux_id) <- cycle;
-        charge ~comp:mux_id ~category:Activity.Mux_select k.e_mux_sel)
-      sc.sc_sel;
-    Array.iter
-      (fun (alu_id, code) ->
-        alu_op.(alu_id) <- code;
-        op_stamp.(alu_id) <- cycle)
-      sc.sc_ops;
-    charge ~comp:Activity.global_component ~category:Activity.Control
-      sc.sc_ctrl_e;
+    for i = 0 to Array.length sc.sc_sel - 1 do
+      let mux_id, idx = sc.sc_sel.(i) in
+      mux_sel.(mux_id) <- idx;
+      ctrl_stamp.(mux_id) <- cycle;
+      Activity.add activity ~comp:mux_id ~category:Activity.Mux_select
+        k.e_mux_sel
+    done;
+    for i = 0 to Array.length sc.sc_ops - 1 do
+      let alu_id, code = sc.sc_ops.(i) in
+      alu_op.(alu_id) <- code;
+      op_stamp.(alu_id) <- cycle
+    done;
+    Activity.add activity ~comp:Activity.global_component
+      ~category:Activity.Control sc.sc_ctrl_e;
     let loads = k.loads_at.(step) in
     let busy = k.busy_at.(step) in
     (* 3. Combinational propagation (skipping quiescent instructions). *)
-    Array.iter
-      (fun instr ->
-        match instr with
-        | I_mux { mx_id = id; mx_choices } ->
-            let src = mx_choices.(mux_sel.(id)) in
-            if
-              first_eval || ctrl_stamp.(id) = cycle
-              || (src >= 0 && val_stamp.(src) = cycle)
-            then begin
-              let v = src_val values src in
-              let h = B.popcount (values.(id) lxor v) in
-              if h > 0 then begin
-                charge ~comp:id ~category:Activity.Mux_data
-                  (float_of_int h *. k.e_mux_data);
-                values.(id) <- v;
-                val_stamp.(id) <- cycle
-              end
+    let instrs = k.instrs in
+    for i = 0 to Array.length instrs - 1 do
+      match instrs.(i) with
+      | I_mux { mx_id = id; mx_choices } ->
+          let src = mx_choices.(mux_sel.(id)) in
+          if
+            first_eval || ctrl_stamp.(id) = cycle
+            || (src >= 0 && val_stamp.(src) = cycle)
+          then begin
+            let v = src_val values src in
+            let h = B.popcount (values.(id) lxor v) in
+            if h > 0 then begin
+              Activity.add activity ~comp:id ~category:Activity.Mux_data
+                (float_of_int h *. k.e_mux_data);
+              values.(id) <- v;
+              val_stamp.(id) <- cycle
             end
-        | I_alu a ->
-            let id = a.al_id in
-            let is_busy = busy.(id) in
-            if a.al_isolated && not is_busy then begin
-              if alu_busy_prev.(id) then
-                charge ~comp:id ~category:Activity.Isolation k.e_iso_idle;
-              alu_busy_prev.(id) <- false
-            end
-            else begin
-              let dirty =
-                first_eval || op_stamp.(id) = cycle
-                || (a.al_src_a >= 0 && val_stamp.(a.al_src_a) = cycle)
-                || (a.al_src_b >= 0 && val_stamp.(a.al_src_b) = cycle)
-                || (a.al_isolated && not alu_busy_prev.(id))
-              in
-              if dirty then begin
-                let a_new = src_val values a.al_src_a in
-                let b_new = src_val values a.al_src_b in
-                let h =
-                  B.popcount (alu_in_a.(id) lxor a_new)
-                  + B.popcount (alu_in_b.(id) lxor b_new)
-                  + if op_stamp.(id) = cycle then width else 0
-                in
-                if h > 0 then begin
-                  charge ~comp:id ~category:Activity.Alu_internal
-                    a.al_energy.(h);
-                  let out = eval_code alu_op.(id) a_new b_new k.mask in
-                  let ho = B.popcount (values.(id) lxor out) in
-                  charge ~comp:id ~category:Activity.Data
-                    (float_of_int ho *. k.e_fu_out);
-                  if ho > 0 then begin
-                    values.(id) <- out;
-                    val_stamp.(id) <- cycle
-                  end;
-                  alu_in_a.(id) <- a_new;
-                  alu_in_b.(id) <- b_new
-                end;
-                if a.al_isolated && is_busy then
-                  charge ~comp:id ~category:Activity.Isolation
-                    (float_of_int h *. k.e_iso)
-              end;
-              alu_busy_prev.(id) <- is_busy
-            end)
-      k.instrs;
-    (* 4. Sequential update over this (step, phase)'s active list. *)
-    Array.iter
-      (fun st ->
-        let id = st.st_id in
-        let loading = loads.(id) in
-        if st.st_gated then begin
-          charge ~comp:id ~category:Activity.Clock k.e_tree2;
-          if loading then charge ~comp:id ~category:Activity.Clock st.st_pin2
-        end
-        else if phase = st.st_phase then
-          charge ~comp:id ~category:Activity.Clock st.st_clk2;
-        if st.st_gated && loading <> load_prev.(id) then
-          charge ~comp:id ~category:Activity.Gating k.e_gate;
-        load_prev.(id) <- loading;
-        if loading then begin
-          let v = src_val values st.st_input in
-          let h = B.popcount (values.(id) lxor v) in
-          if h > 0 then begin
-            charge ~comp:id ~category:Activity.Storage_write
-              (float_of_int h *. st.st_wr_e);
-            charge ~comp:id ~category:Activity.Data
-              (float_of_int h *. st.st_out_e);
-            values.(id) <- v;
-            (* Readers see the write from the next cycle on. *)
-            val_stamp.(id) <- cycle + 1
           end
-        end)
-      k.stors_at.(step).(phase);
+      | I_alu a ->
+          let id = a.al_id in
+          let is_busy = busy.(id) in
+          if a.al_isolated && not is_busy then begin
+            if alu_busy_prev.(id) then
+              Activity.add activity ~comp:id ~category:Activity.Isolation
+                k.e_iso_idle;
+            alu_busy_prev.(id) <- false
+          end
+          else begin
+            let dirty =
+              first_eval || op_stamp.(id) = cycle
+              || (a.al_src_a >= 0 && val_stamp.(a.al_src_a) = cycle)
+              || (a.al_src_b >= 0 && val_stamp.(a.al_src_b) = cycle)
+              || (a.al_isolated && not alu_busy_prev.(id))
+            in
+            if dirty then begin
+              let a_new = src_val values a.al_src_a in
+              let b_new = src_val values a.al_src_b in
+              let h =
+                B.popcount (alu_in_a.(id) lxor a_new)
+                + B.popcount (alu_in_b.(id) lxor b_new)
+                + if op_stamp.(id) = cycle then width else 0
+              in
+              if h > 0 then begin
+                Activity.add activity ~comp:id ~category:Activity.Alu_internal
+                  a.al_energy.(h);
+                let out = eval_code alu_op.(id) a_new b_new k.mask in
+                let ho = B.popcount (values.(id) lxor out) in
+                Activity.add activity ~comp:id ~category:Activity.Data
+                  (float_of_int ho *. k.e_fu_out);
+                if ho > 0 then begin
+                  values.(id) <- out;
+                  val_stamp.(id) <- cycle
+                end;
+                alu_in_a.(id) <- a_new;
+                alu_in_b.(id) <- b_new
+              end;
+              if a.al_isolated && is_busy then
+                Activity.add activity ~comp:id ~category:Activity.Isolation
+                  (float_of_int h *. k.e_iso)
+            end;
+            alu_busy_prev.(id) <- is_busy
+          end
+    done;
+    (* 4. Sequential update over this (step, phase)'s active list. *)
+    let stors = k.stors_at.(step).(phase) in
+    for i = 0 to Array.length stors - 1 do
+      let st = stors.(i) in
+      let id = st.st_id in
+      let loading = loads.(id) in
+      if st.st_gated then begin
+        Activity.add activity ~comp:id ~category:Activity.Clock k.e_tree2;
+        if loading then
+          Activity.add activity ~comp:id ~category:Activity.Clock st.st_pin2
+      end
+      else if phase = st.st_phase then
+        Activity.add activity ~comp:id ~category:Activity.Clock st.st_clk2;
+      if st.st_gated && loading <> load_prev.(id) then
+        Activity.add activity ~comp:id ~category:Activity.Gating k.e_gate;
+      load_prev.(id) <- loading;
+      if loading then begin
+        let v = src_val values st.st_input in
+        let h = B.popcount (values.(id) lxor v) in
+        if h > 0 then begin
+          Activity.add activity ~comp:id ~category:Activity.Storage_write
+            (float_of_int h *. st.st_wr_e);
+          Activity.add activity ~comp:id ~category:Activity.Data
+            (float_of_int h *. st.st_out_e);
+          values.(id) <- v;
+          (* Readers see the write from the next cycle on. *)
+          val_stamp.(id) <- cycle + 1
+        end
+      end
+    done;
     record_trace cycle;
     (match observer with
     | None -> ()
@@ -654,16 +681,16 @@ let exec_range k st ~envs ~iterations ?trace ?observer ~vcd_signals
             obs_phase = phase;
             obs_value = (fun id -> B.create ~width values.(id));
           });
-    (* 5. Output taps. *)
-    Array.iter
-      (fun (v, src) ->
-        st.s_current <-
-          Var.Map.add v (B.create ~width (src_val values src)) st.s_current)
-      k.taps_at.(step);
-    if step = k.t_steps then st.s_outputs_rev <- st.s_current :: st.s_outputs_rev
+    (* 5. Output taps, straight into the computation's row. *)
+    let row = outs.(iter_idx) in
+    let taps = k.taps_at.(step) in
+    for i = 0 to Array.length taps - 1 do
+      let col, src = taps.(i) in
+      row.(col) <- src_val values src land k.mask
+    done
   done
 
-let finish k st ~iterations ~envs =
+let finish k st ~iterations ~ins =
   let total_cycles = iterations * k.t_steps in
   let energy_pj = Activity.total st.s_activity in
   let sim_time_s = float_of_int total_cycles *. Clock.period k.clock in
@@ -675,25 +702,27 @@ let finish k st ~iterations ~envs =
     energy_pj;
     power_mw;
     activity = st.s_activity;
-    inputs = Array.to_list envs;
-    outputs = List.rev st.s_outputs_rev;
+    input_vars = k.input_vars;
+    output_vars = k.output_vars;
+    inputs = ins;
+    outputs = st.s_outputs;
   }
+
+let materialize ?stimulus k rng ~iterations =
+  Simulator.materialize_stimulus ?stimulus rng ~inputs:k.graph_inputs
+    ~width:k.width ~iterations
 
 let run ?(seed = 42) ?trace ?observer ?stimulus k ~iterations =
   if iterations < 1 then invalid_arg "Simulator.run: iterations must be >= 1";
   Mclock_obs.Obs.with_span ~cat:"sim" ~name:"sim.run"
     ~attrs:[ ("iterations", string_of_int iterations) ]
   @@ fun () ->
-  let rng = Mclock_util.Rng.create seed in
-  let envs =
-    Simulator.materialize_stimulus ?stimulus rng ~inputs:k.graph_inputs
-      ~width:k.width ~iterations
-  in
-  let st = fresh_state k envs.(0) in
+  let ins = materialize ?stimulus k (Mclock_util.Rng.create seed) ~iterations in
+  let st = fresh_state k ~iterations ins.(0) in
   let vcd_signals = setup_signals k trace in
-  exec_range k st ~envs ~iterations ?trace ?observer ~vcd_signals
+  exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
     ~from_cycle:1 ~to_cycle:(iterations * k.t_steps) ();
-  finish k st ~iterations ~envs
+  finish k st ~iterations ~ins
 
 (* The checkpoint boundary sits one cycle before the end of the run:
    cycle [iterations * t_steps] is the only cycle a longer run executes
@@ -701,7 +730,7 @@ let run ?(seed = 42) ?trace ?observer ?stimulus k ~iterations =
    register-backed ports), so the snapshot is taken before it and
    [resume] re-executes it in extension form.  The charge sequence the
    resumed run then emits — and with it every float accumulation, every
-   output env, the VCD sample stream — is exactly the uninterrupted
+   output row, the VCD sample stream — is exactly the uninterrupted
    run's, which is what the differential suite pins down.
 
    Consequence for tracing/observation: the prefix run samples cycles
@@ -715,57 +744,57 @@ let run_with_checkpoint ?(seed = 42) ?trace ?observer ?stimulus k ~iterations =
       [ ("iterations", string_of_int iterations); ("checkpoint", "true") ]
   @@ fun () ->
   let rng = Mclock_util.Rng.create seed in
-  let envs =
-    Simulator.materialize_stimulus ?stimulus rng ~inputs:k.graph_inputs
-      ~width:k.width ~iterations
-  in
+  let ins = materialize ?stimulus k rng ~iterations in
   let rng_after = Mclock_util.Rng.state rng in
-  let st = fresh_state k envs.(0) in
+  let st = fresh_state k ~iterations ins.(0) in
   let vcd_signals = setup_signals k trace in
   let boundary = iterations * k.t_steps in
-  exec_range k st ~envs ~iterations ?trace ?observer ~vcd_signals
+  exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
     ~from_cycle:1 ~to_cycle:(boundary - 1) ();
   let ck =
     {
       ck_width = k.width;
       ck_t_steps = k.t_steps;
       ck_n = k.max_id + 1;
+      ck_n_in = Array.length k.input_vars;
+      ck_n_out = Array.length k.output_vars;
       ck_seed = seed;
       ck_iterations = iterations;
       ck_stimulus = stimulus <> None;
       ck_rng = rng_after;
-      ck_envs = envs;
+      ck_inputs = ins;
       ck_state = copy_state st;
     }
   in
-  exec_range k st ~envs ~iterations ~vcd_signals:[] ~from_cycle:boundary
+  exec_range k st ~ins ~iterations ~vcd_signals:[] ~from_cycle:boundary
     ~to_cycle:boundary ();
-  (finish k st ~iterations ~envs, ck)
+  (finish k st ~iterations ~ins, ck)
 
 let resume ?trace ?observer ?stimulus k ck ~iterations =
   if ck.ck_width <> k.width || ck.ck_t_steps <> k.t_steps
      || ck.ck_n <> k.max_id + 1
+     || ck.ck_n_in <> Array.length k.input_vars
+     || ck.ck_n_out <> Array.length k.output_vars
   then invalid_arg "Compiled.resume: checkpoint does not match this kernel";
   if iterations <= ck.ck_iterations then
     invalid_arg "Compiled.resume: iterations must exceed the checkpoint's";
   let k1 = ck.ck_iterations in
-  let envs, rng_after =
+  let ins, rng_after =
     match stimulus with
     | Some _ ->
         (* The prefix's stimulus must be the prefix of this one, or the
            checkpointed state is for a different input stream. *)
         let all =
-          Simulator.materialize_stimulus ?stimulus
+          materialize ?stimulus k
             (Mclock_util.Rng.create ck.ck_seed)
-            ~inputs:k.graph_inputs ~width:k.width ~iterations
+            ~iterations
         in
-        Array.iteri
-          (fun i env ->
-            if i < k1 && not (Var.Map.equal B.equal env ck.ck_envs.(i)) then
-              invalid_arg
-                "Compiled.resume: stimulus prefix differs from the \
-                 checkpointed run's inputs")
-          all;
+        for i = 0 to k1 - 1 do
+          if all.(i) <> ck.ck_inputs.(i) then
+            invalid_arg
+              "Compiled.resume: stimulus prefix differs from the \
+               checkpointed run's inputs"
+        done;
         (all, ck.ck_rng)
     | None ->
         if ck.ck_stimulus then
@@ -773,16 +802,14 @@ let resume ?trace ?observer ?stimulus k ck ~iterations =
             "Compiled.resume: the checkpointed run used an explicit \
              stimulus; pass ~stimulus covering the combined run";
         let rng = Mclock_util.Rng.of_state ck.ck_rng in
-        let extra =
-          Simulator.materialize_stimulus rng ~inputs:k.graph_inputs
-            ~width:k.width ~iterations:(iterations - k1)
-        in
-        (Array.append ck.ck_envs extra, Mclock_util.Rng.state rng)
+        let extra = materialize k rng ~iterations:(iterations - k1) in
+        (Array.append ck.ck_inputs extra, Mclock_util.Rng.state rng)
   in
   let st = copy_state ck.ck_state in
+  st.s_outputs <- Array.append st.s_outputs (output_rows k (iterations - k1));
   let vcd_signals = setup_signals k trace in
   let boundary = iterations * k.t_steps in
-  exec_range k st ~envs ~iterations ?trace ?observer ~vcd_signals
+  exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
     ~from_cycle:(k1 * k.t_steps) ~to_cycle:(boundary - 1) ();
   let ck' =
     {
@@ -790,13 +817,13 @@ let resume ?trace ?observer ?stimulus k ck ~iterations =
       ck_iterations = iterations;
       ck_stimulus = ck.ck_stimulus || stimulus <> None;
       ck_rng = rng_after;
-      ck_envs = envs;
+      ck_inputs = ins;
       ck_state = copy_state st;
     }
   in
-  exec_range k st ~envs ~iterations ~vcd_signals:[] ~from_cycle:boundary
+  exec_range k st ~ins ~iterations ~vcd_signals:[] ~from_cycle:boundary
     ~to_cycle:boundary ();
-  (finish k st ~iterations ~envs, ck')
+  (finish k st ~iterations ~ins, ck')
 
 (* --- Checkpoint serialization ------------------------------------------ *)
 
@@ -804,29 +831,29 @@ module Checkpoint = struct
   module Binio = Mclock_util.Binio
 
   (* Bump on any layout change: version skew degrades to a decode
-     error, which cache consumers treat as a miss. *)
-  let magic = "MCLOCK-CKPT-v1\n"
+     error, which cache consumers treat as a miss.  v2 carries the
+     prefix stimulus and the recorded outputs as int matrices (v1 held
+     named envs). *)
+  let magic = "MCLOCK-CKPT-v2\n"
 
-  let write_env w env =
-    Binio.W.int w (Var.Map.cardinal env);
-    Var.Map.iter
-      (fun v b ->
-        Binio.W.string w (Var.name v);
-        Binio.W.int w (B.width b);
-        Binio.W.int w (B.to_int b))
-      env
+  let write_matrix w m =
+    Binio.W.int w (Array.length m);
+    Array.iter (Binio.W.int_array w) m
 
-  let read_env r =
+  (* Rows are read one by one (never pre-allocated from the declared
+     count), so a lying count runs out of bytes instead of memory. *)
+  let read_matrix r ~cols =
     let n = Binio.R.int r in
-    let rec go acc i =
-      if i = n then acc
+    let rec go i acc =
+      if i = n then Array.of_list (List.rev acc)
       else
-        let name = Binio.R.string r in
-        let width = Binio.R.int r in
-        let value = Binio.R.int r in
-        go (Var.Map.add (Var.v name) (B.create ~width value) acc) (i + 1)
+        let row = Binio.R.int_array r in
+        if Array.length row <> cols then
+          raise (Binio.Corrupt "checkpoint: bad matrix row length");
+        go (i + 1) (row :: acc)
     in
-    go Var.Map.empty 0
+    if n < 0 then raise (Binio.Corrupt "checkpoint: negative row count");
+    go 0 []
 
   let encode ck =
     Mclock_obs.Obs.with_span ~cat:"sim" ~name:"sim.ckpt_encode"
@@ -836,12 +863,13 @@ module Checkpoint = struct
     Binio.W.int w ck.ck_width;
     Binio.W.int w ck.ck_t_steps;
     Binio.W.int w ck.ck_n;
+    Binio.W.int w ck.ck_n_in;
+    Binio.W.int w ck.ck_n_out;
     Binio.W.int w ck.ck_seed;
     Binio.W.int w ck.ck_iterations;
     Binio.W.bool w ck.ck_stimulus;
     Binio.W.i64 w ck.ck_rng;
-    Binio.W.int w (Array.length ck.ck_envs);
-    Array.iter (write_env w) ck.ck_envs;
+    write_matrix w ck.ck_inputs;
     let st = ck.ck_state in
     Binio.W.int_array w st.s_values;
     Binio.W.int_array w st.s_val_stamp;
@@ -855,9 +883,7 @@ module Checkpoint = struct
     Binio.W.bool_array w st.s_load_prev;
     Binio.W.float_array w (Activity.raw_cells st.s_activity);
     Binio.W.float w (Activity.total st.s_activity);
-    Binio.W.int w (List.length st.s_outputs_rev);
-    List.iter (write_env w) st.s_outputs_rev;
-    write_env w st.s_current;
+    write_matrix w st.s_outputs;
     Binio.seal ~magic (Binio.W.contents w)
 
   let decode blob =
@@ -870,19 +896,15 @@ module Checkpoint = struct
           let ck_width = Binio.R.int r in
           let ck_t_steps = Binio.R.int r in
           let ck_n = Binio.R.int r in
+          let ck_n_in = Binio.R.int r in
+          let ck_n_out = Binio.R.int r in
           let ck_seed = Binio.R.int r in
           let ck_iterations = Binio.R.int r in
           let ck_stimulus = Binio.R.bool r in
           let ck_rng = Binio.R.i64 r in
-          let n_envs = Binio.R.int r in
-          if n_envs <> ck_iterations then
-            raise (Binio.Corrupt "checkpoint: env count <> iterations");
-          (* Explicit ascending loops: the reader is stateful and
-             [Array.init]/[List.init] evaluation order is unspecified. *)
-          let ck_envs = Array.make n_envs Var.Map.empty in
-          for i = 0 to n_envs - 1 do
-            ck_envs.(i) <- read_env r
-          done;
+          let ck_inputs = read_matrix r ~cols:ck_n_in in
+          if Array.length ck_inputs <> ck_iterations then
+            raise (Binio.Corrupt "checkpoint: input rows <> iterations");
           let int_arr () =
             let a = Binio.R.int_array r in
             if Array.length a <> ck_n then
@@ -907,24 +929,21 @@ module Checkpoint = struct
           let s_load_prev = bool_arr () in
           let cells = Binio.R.float_array r in
           let total = Binio.R.float r in
-          let n_out = Binio.R.int r in
-          let outputs_rev =
-            let rec go i acc =
-              if i = n_out then List.rev acc else go (i + 1) (read_env r :: acc)
-            in
-            go 0 []
-          in
-          let current = read_env r in
+          let s_outputs = read_matrix r ~cols:ck_n_out in
+          if Array.length s_outputs <> ck_iterations then
+            raise (Binio.Corrupt "checkpoint: output rows <> iterations");
           Binio.R.expect_end r;
           {
             ck_width;
             ck_t_steps;
             ck_n;
+            ck_n_in;
+            ck_n_out;
             ck_seed;
             ck_iterations;
             ck_stimulus;
             ck_rng;
-            ck_envs;
+            ck_inputs;
             ck_state =
               {
                 s_values;
@@ -938,8 +957,7 @@ module Checkpoint = struct
                 s_alu_busy_prev;
                 s_load_prev;
                 s_activity = Activity.of_raw ~cells ~total;
-                s_outputs_rev = outputs_rev;
-                s_current = current;
+                s_outputs;
               };
           }
         with

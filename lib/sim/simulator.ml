@@ -35,8 +35,10 @@ type result = {
   energy_pj : float;
   power_mw : float;
   activity : Activity.t;
-  inputs : Golden.env list; (* per iteration *)
-  outputs : Golden.env list; (* per iteration, in the same order *)
+  input_vars : Var.t array; (* columns of [inputs] *)
+  output_vars : Var.t array; (* columns of [outputs] *)
+  inputs : int array array; (* one row per computation *)
+  outputs : int array array; (* one row per computation; -1: unobserved *)
 }
 
 type trace_request = { vcd : Vcd.t; max_cycles : int }
@@ -48,32 +50,66 @@ type observation = {
   obs_value : int -> B.t; (* component output at the end of the cycle *)
 }
 
-(* Turn an optional user stimulus into one env per computation,
-   drawing fresh random values when none is given.  Shared with the
-   compiled kernel: both kernels must consume the RNG in exactly the
-   same order (inputs within an env, then env by env) for a given seed
-   to see the same input stream. *)
+let unobserved = -1
+
+let input_columns design = Array.of_list (List.map fst (Design.input_ports design))
+
+(* Distinct tapped variables, in first-tap order (the graph's output
+   order for synthesized designs). *)
+let output_columns design =
+  Array.of_list
+    (List.fold_left
+       (fun acc tap ->
+         if List.exists (Var.equal tap.Design.var) acc then acc
+         else acc @ [ tap.Design.var ])
+       [] (Design.output_taps design))
+
+let column vars v =
+  let rec go i =
+    if i = Array.length vars then -1
+    else if Var.equal vars.(i) v then i
+    else go (i + 1)
+  in
+  go 0
+
+(* Turn an optional user stimulus into the input matrix (one row per
+   computation, one column per input in port-list order), drawing fresh
+   random values when none is given.  Shared with the compiled kernel:
+   both kernels must consume the RNG in exactly the same order (inputs
+   within a row, then row by row) for a given seed to see the same
+   input stream.  A user stimulus is validated and converted here, once;
+   the kernels never touch an env. *)
 let materialize_stimulus ?stimulus rng ~inputs ~width ~iterations =
+  let vars = Array.of_list (List.map fst inputs) in
   match stimulus with
   | Some envs ->
       if List.length envs < iterations then
         invalid_arg "Simulator.run: stimulus shorter than iterations";
       List.iter
         (fun env ->
-          List.iter
-            (fun (v, _) ->
+          Array.iter
+            (fun v ->
               if not (Var.Map.mem v env) then
                 invalid_arg
                   (Printf.sprintf "Simulator.run: stimulus misses input %s"
                      (Var.name v)))
-            inputs)
+            vars)
         envs;
-      Array.of_list (Mclock_util.List_ext.take iterations envs)
+      Array.of_list
+        (List.map
+           (fun env -> Array.map (fun v -> B.to_int (Var.Map.find v env)) vars)
+           (Mclock_util.List_ext.take iterations envs))
   | None ->
-      Array.init iterations (fun _ ->
-          List.fold_left
-            (fun env (v, _) -> Var.Map.add v (B.random rng ~width) env)
-            Var.Map.empty inputs)
+      (* [Bitvec.random]'s draw, without boxing each value. *)
+      let mask = (1 lsl width) - 1 in
+      let m = Array.make_matrix iterations (Array.length vars) 0 in
+      for i = 0 to iterations - 1 do
+        let row = m.(i) in
+        for j = 0 to Array.length row - 1 do
+          row.(j) <- Mclock_util.Rng.bits rng land mask
+        done
+      done;
+      m
 
 let run ?(seed = 42) ?trace ?observer ?stimulus tech design ~iterations =
   if iterations < 1 then invalid_arg "Simulator.run: iterations must be >= 1";
@@ -145,13 +181,13 @@ let run ?(seed = 42) ?trace ?observer ?stimulus tech design ~iterations =
       (Datapath.storages datapath)
   in
   let input_plumbing =
-    List.map (fun (v, port) -> (v, port, input_register v)) graph_inputs
+    List.mapi (fun col (v, port) -> (col, port, input_register v)) graph_inputs
   in
-  let envs =
+  let ins =
     materialize_stimulus ?stimulus rng ~inputs:graph_inputs ~width ~iterations
   in
-  let apply_port env (v, port, _) =
-    let fresh = Var.Map.find v env in
+  let apply_port row (col, port, _) =
+    let fresh = B.create ~width row.(col) in
     let h = B.hamming values.(port) fresh in
     charge ~comp:port ~category:Activity.Data
       (float h *. ept tech.L.register.L.output_cap_per_bit);
@@ -160,14 +196,21 @@ let run ?(seed = 42) ?trace ?observer ?stimulus tech design ~iterations =
   (* Reset state: ports and input registers preloaded with the first
      computation's values (no energy charged for initialization). *)
   List.iter
-    (fun (v, port, reg) ->
-      let v0 = Var.Map.find v envs.(0) in
+    (fun (col, port, reg) ->
+      let v0 = B.create ~width ins.(0).(col) in
       values.(port) <- v0;
       Option.iter (fun sid -> values.(sid) <- v0) reg)
     input_plumbing;
-  (* Iteration bookkeeping. *)
-  let all_outputs = ref [] in
-  let current_outputs = ref Var.Map.empty in
+  (* Output taps write their column of the computation's row. *)
+  let output_vars = output_columns design in
+  let taps =
+    List.map
+      (fun tap -> (tap, column output_vars tap.Design.var))
+      (Design.output_taps design)
+  in
+  let outs =
+    Array.make_matrix iterations (Array.length output_vars) unobserved
+  in
   let total_cycles = iterations * t_steps in
   for cycle = 1 to total_cycles do
     let step = ((cycle - 1) mod t_steps) + 1 in
@@ -176,18 +219,14 @@ let run ?(seed = 42) ?trace ?observer ?stimulus tech design ~iterations =
     (* 1. Fresh inputs: direct ports at step 1 of their computation;
        registered-input ports one step ahead, at the final step of the
        previous computation. *)
-    if step = 1 then begin
-      current_outputs := Var.Map.empty;
-      if iter_idx > 0 then
-        List.iter
-          (fun ((_, _, reg) as p) ->
-            if reg = None then apply_port envs.(iter_idx) p)
-          input_plumbing
-    end;
+    if step = 1 && iter_idx > 0 then
+      List.iter
+        (fun ((_, _, reg) as p) -> if reg = None then apply_port ins.(iter_idx) p)
+        input_plumbing;
     if step = t_steps && iter_idx + 1 < iterations then
       List.iter
         (fun ((_, _, reg) as p) ->
-          if reg <> None then apply_port envs.(iter_idx + 1) p)
+          if reg <> None then apply_port ins.(iter_idx + 1) p)
         input_plumbing;
     (* 2. Control word application. *)
     let word = Control.word control ~step in
@@ -342,13 +381,10 @@ let run ?(seed = 42) ?trace ?observer ?stimulus tech design ~iterations =
           });
     (* 5. Output taps. *)
     List.iter
-      (fun tap ->
+      (fun (tap, col) ->
         if tap.Design.ready_step = step then
-          current_outputs :=
-            Var.Map.add tap.Design.var (value_of tap.Design.source)
-              !current_outputs)
-      (Design.output_taps design);
-    if step = t_steps then all_outputs := !current_outputs :: !all_outputs
+          outs.(iter_idx).(col) <- B.to_int (value_of tap.Design.source))
+      taps
   done;
   let energy_pj = Activity.total activity in
   let sim_time_s = float total_cycles *. Clock.period clock in
@@ -360,6 +396,8 @@ let run ?(seed = 42) ?trace ?observer ?stimulus tech design ~iterations =
     energy_pj;
     power_mw;
     activity;
-    inputs = Array.to_list envs;
-    outputs = List.rev !all_outputs;
+    input_vars = input_columns design;
+    output_vars;
+    inputs = ins;
+    outputs = outs;
   }

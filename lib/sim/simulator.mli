@@ -12,9 +12,18 @@ type result = {
   energy_pj : float;
   power_mw : float;
   activity : Activity.t;
-  inputs : Golden.env list;  (** per computation *)
-  outputs : Golden.env list;  (** per computation, same order *)
+  input_vars : Mclock_dfg.Var.t array;
+      (** columns of [inputs]: the design's input ports, in order *)
+  output_vars : Mclock_dfg.Var.t array;
+      (** columns of [outputs]: the tapped variables, in first-tap order *)
+  inputs : int array array;  (** one row per computation *)
+  outputs : int array array;
+      (** one row per computation, same order; {!unobserved} marks an
+          output no tap recorded in that computation *)
 }
+
+val unobserved : int
+(** [-1]: never a datapath value, which is non-negative. *)
 
 type trace_request = { vcd : Vcd.t; max_cycles : int }
 
@@ -32,13 +41,23 @@ val materialize_stimulus :
   inputs:(Mclock_dfg.Var.t * int) list ->
   width:int ->
   iterations:int ->
-  Golden.env array
-(** One input environment per computation: the validated/truncated user
-    [stimulus] if given, else fresh uniform random values drawn from
-    [rng] (inputs within an env in port-list order, env by env).  Both
-    simulation kernels use this, so a given seed yields the same input
-    stream under either.  Raises [Invalid_argument] on an unsuitable
-    stimulus. *)
+  int array array
+(** The input matrix: one row per computation, one column per entry of
+    [inputs], in order.  Rows come from the validated/truncated user
+    [stimulus] if given (converted here, once), else from fresh uniform
+    random values drawn from [rng] (column by column, row by row).
+    Both simulation kernels use this, so a given seed yields the same
+    input stream under either.  Raises [Invalid_argument] on an
+    unsuitable stimulus. *)
+
+val input_columns : Mclock_rtl.Design.t -> Mclock_dfg.Var.t array
+(** The column order of a run's [inputs] on this design. *)
+
+val output_columns : Mclock_rtl.Design.t -> Mclock_dfg.Var.t array
+(** The column order of a run's [outputs] on this design. *)
+
+val column : Mclock_dfg.Var.t array -> Mclock_dfg.Var.t -> int
+(** Index of a variable in a column header; [-1] if absent. *)
 
 val run :
   ?seed:int ->

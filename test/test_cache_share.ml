@@ -218,6 +218,42 @@ let test_concurrent_distinct_writers () =
     (Array.exists is_tmp (Sys.readdir dir));
   rm_rf dir
 
+(* Two domains of one process storing the same key at once: each
+   write goes through its own temp file, so neither write fails, no
+   temp file is left behind and the entry read back is one of the two
+   values, whole. *)
+let test_same_key_two_domains () =
+  let dir = temp_dir () in
+  let key = key_of 40 in
+  let m0 = metrics_with 3.5 and m1 = metrics_with 44444.25 in
+  let rounds = 200 in
+  let start = Atomic.make 0 in
+  let domains =
+    List.map
+      (fun m ->
+        Domain.spawn (fun () ->
+            let s = Store.open_ ~dir () in
+            Atomic.incr start;
+            while Atomic.get start < 2 do
+              Domain.cpu_relax ()
+            done;
+            for _ = 1 to rounds do
+              Store.store s ~key m
+            done;
+            (Store.stats s).Store.store_failures))
+      [ m0; m1 ]
+  in
+  let failures = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
+  check Alcotest.int "no store failed" 0 failures;
+  (match Store.find (Store.open_ ~dir ()) ~key with
+  | Some m ->
+      check Alcotest.bool "entry is one writer's value, whole" true
+        (metrics_equal m m0 || metrics_equal m m1)
+  | None -> fail "same-key entry lost");
+  check Alcotest.bool "no temp file left" false
+    (Array.exists is_tmp (Sys.readdir dir));
+  rm_rf dir
+
 let test_reader_never_sees_partial_entry () =
   (* One writer flips a key between two values; a reader on another
      handle must always get one of them whole — never a miss, never a
@@ -325,4 +361,5 @@ let suite =
     ("concurrent distinct writers", `Quick, test_concurrent_distinct_writers);
     ("reader never sees partial entry", `Quick, test_reader_never_sees_partial_entry);
     ("concurrent processes share dir", `Quick, test_concurrent_processes_share_dir);
+    ("same key, two domains", `Quick, test_same_key_two_domains);
   ]

@@ -16,8 +16,23 @@ module Var = Mclock_dfg.Var
 let check = Alcotest.check
 let fail = Alcotest.fail
 let tech = Mclock_tech.Cmos08.t
-let env_equal = Var.Map.equal B.equal
-let envs_equal = List.equal env_equal
+(* Results carry one int row per computation; equal results have equal
+   column headers and equal rows. *)
+let matrices_equal vars_a a vars_b b =
+  Array.length vars_a = Array.length vars_b
+  && Array.for_all2 Var.equal vars_a vars_b
+  && a = b
+
+(* A result's input rows as the env list [~stimulus] takes. *)
+let stimulus_of ~width (r : Sim.result) =
+  Array.to_list
+    (Array.map
+       (fun row ->
+         Array.fold_left
+           (fun (j, env) v -> (j + 1, Var.Map.add v (B.create ~width row.(j)) env))
+           (0, Var.Map.empty) r.Sim.input_vars
+         |> snd)
+       r.Sim.inputs)
 
 let assert_identical label (r : Sim.result) (c : Sim.result) =
   check Alcotest.int (label ^ ": cycles") r.Sim.cycles c.Sim.cycles;
@@ -29,9 +44,14 @@ let assert_identical label (r : Sim.result) (c : Sim.result) =
     fail (label ^ ": power differs");
   if not (Activity.equal_cells r.Sim.activity c.Sim.activity) then
     fail (label ^ ": per-(component, category) activity differs");
-  if not (envs_equal r.Sim.inputs c.Sim.inputs) then
+  if not (matrices_equal r.Sim.input_vars r.Sim.inputs c.Sim.input_vars c.Sim.inputs)
+  then
     fail (label ^ ": input streams differ");
-  if not (envs_equal r.Sim.outputs c.Sim.outputs) then
+  if
+    not
+      (matrices_equal r.Sim.output_vars r.Sim.outputs c.Sim.output_vars
+         c.Sim.outputs)
+  then
     fail (label ^ ": outputs differ")
 
 (* Catalog x both conventional styles x both allocators at n in
@@ -93,11 +113,15 @@ let test_stimulus_parity () =
   let s = Mclock_workloads.Workload.schedule Mclock_workloads.Facet.t in
   let design = Flow.synthesize ~method_:(Flow.Split 2) ~name:"stim" s in
   let probe = Sim.run ~seed:7 tech design ~iterations:6 in
-  let stimulus = probe.Sim.inputs in
+  let stimulus =
+    stimulus_of
+      ~width:(Mclock_rtl.Datapath.width (Mclock_rtl.Design.datapath design))
+      probe
+  in
   let r = Sim.run ~stimulus tech design ~iterations:6 in
   let c = Compiled.run ~stimulus (Compiled.compile tech design) ~iterations:6 in
   assert_identical "stimulus" r c;
-  if not (envs_equal r.Sim.inputs stimulus) then fail "stimulus not echoed"
+  if r.Sim.inputs <> probe.Sim.inputs then fail "stimulus not echoed"
 
 (* Seeded VCD parity: the trace streams must be byte-identical. *)
 let test_vcd_parity () =

@@ -1,9 +1,9 @@
 (* Property-based tests (QCheck) on the core data structures and
    invariants: bit-vector algebra, left-edge optimality, clock
    non-overlap, partition arithmetic, schedulers, transfers, the full
-   allocation flow on random scheduled DFGs, and the store's entry
-   decoder (the one gate through which outside bytes enter the
-   evaluation cache). *)
+   allocation flow on random scheduled DFGs, and the two decoders
+   through which outside bytes enter the evaluation cache: the store's
+   entry decoder and the simulation checkpoint decoder. *)
 
 open Mclock_dfg
 module B = Mclock_util.Bitvec
@@ -444,6 +444,116 @@ let prop_encode_entry_canonical =
       | Some m' -> String.equal text (Store.encode_entry ~key:entry_key m')
       | None -> false)
 
+(* --- Checkpoint decoder ------------------------------------------------------ *)
+
+module Compiled = Mclock_sim.Compiled
+module Sim = Mclock_sim.Simulator
+
+(* Kernels of real catalog designs, one per (workload, method), built
+   on first use. *)
+let ckpt_kernels =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun w ->
+            List.map
+              (fun method_ ->
+                Compiled.compile Mclock_tech.Cmos08.t
+                  (Mclock_core.Flow.synthesize ~method_ ~name:"ckpt"
+                     (Mclock_workloads.Workload.schedule w)))
+              [
+                Mclock_core.Flow.Conventional_gated;
+                Mclock_core.Flow.Integrated 2;
+                Mclock_core.Flow.Split 3;
+              ])
+          Mclock_workloads.Catalog.all))
+
+(* (kernel, seed, checkpointed computations) of a real run. *)
+let ckpt_case =
+  Q.map
+    (fun (i, seed, k1) ->
+      let ks = Lazy.force ckpt_kernels in
+      (ks.(i mod Array.length ks), seed, k1))
+    Q.(triple small_nat small_nat (int_range 1 4))
+
+let ckpt_blob (kernel, seed, k1) =
+  Compiled.Checkpoint.encode
+    (snd (Compiled.run_with_checkpoint ~seed kernel ~iterations:k1))
+
+let decodes_to_error blob =
+  match Compiled.Checkpoint.decode blob with
+  | Error _ -> true
+  | Ok _ -> false
+
+let prop_ckpt_decode_hostile =
+  Q.Test.make ~name:"checkpoint decoder: garbage is an error" ~count:500
+    Q.string decodes_to_error
+
+let prop_ckpt_decode_mutated =
+  Q.Test.make ~name:"checkpoint decoder: a changed byte is an error" ~count:200
+    (Q.triple ckpt_case Q.small_nat (Q.int_range 1 255))
+    (fun (case, pos, flip) ->
+      let b = Bytes.of_string (ckpt_blob case) in
+      let pos = pos mod Bytes.length b in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor flip));
+      decodes_to_error (Bytes.to_string b))
+
+let prop_ckpt_decode_truncated =
+  Q.Test.make ~name:"checkpoint decoder: every truncation is an error" ~count:4
+    ckpt_case (fun case ->
+      let blob = ckpt_blob case in
+      List.for_all
+        (fun len -> decodes_to_error (String.sub blob 0 len))
+        (List.init (String.length blob) Fun.id))
+
+let prop_ckpt_decode_v1_magic =
+  Q.Test.make ~name:"checkpoint decoder: a v1 blob is an error" ~count:20
+    ckpt_case (fun case ->
+      let blob = ckpt_blob case in
+      let v2 = "MCLOCK-CKPT-v2\n" and v1 = "MCLOCK-CKPT-v1\n" in
+      String.sub blob 0 (String.length v2) = v2
+      && decodes_to_error
+           (v1 ^ String.sub blob (String.length v1)
+                   (String.length blob - String.length v1)))
+
+(* Damage behind a valid seal reaches the structural decoder: a
+   changed payload byte may still decode, but nothing raises, and a
+   shortened payload is always an error. *)
+let prop_ckpt_decode_resealed =
+  Q.Test.make ~name:"checkpoint decoder: resealed damage never raises"
+    ~count:200
+    (Q.triple ckpt_case Q.small_nat (Q.int_range 1 255))
+    (fun (case, pos, flip) ->
+      let magic = "MCLOCK-CKPT-v2\n" in
+      let blob = ckpt_blob case in
+      let skip = String.length magic + 16 in
+      let payload = String.sub blob skip (String.length blob - skip) in
+      let reseal p = Mclock_util.Binio.seal ~magic p in
+      let b = Bytes.of_string payload in
+      let pos = pos mod Bytes.length b in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor flip));
+      (match Compiled.Checkpoint.decode (reseal (Bytes.to_string b)) with
+      | Ok _ | Error _ -> true)
+      && decodes_to_error (reseal (String.sub payload 0 pos)))
+
+let prop_ckpt_roundtrip_resumes =
+  Q.Test.make
+    ~name:"checkpoint decoder: decode (encode ck) resumes bit-identically"
+    ~count:60 ckpt_case (fun ((kernel, seed, k1) as case) ->
+      match Compiled.Checkpoint.decode (ckpt_blob case) with
+      | Error _ -> false
+      | Ok ck ->
+          let iterations = k1 + 3 in
+          let fresh = Compiled.run ~seed kernel ~iterations in
+          let resumed, _ = Compiled.resume kernel ck ~iterations in
+          Int64.equal
+            (Int64.bits_of_float fresh.Sim.energy_pj)
+            (Int64.bits_of_float resumed.Sim.energy_pj)
+          && Mclock_sim.Activity.equal_cells fresh.Sim.activity
+               resumed.Sim.activity
+          && fresh.Sim.inputs = resumed.Sim.inputs
+          && fresh.Sim.outputs = resumed.Sim.outputs)
+
 (* --- Json string codec ------------------------------------------------------ *)
 
 let prop_json_string_roundtrip =
@@ -499,4 +609,10 @@ let suite =
       prop_encode_entry_canonical;
       prop_json_string_roundtrip;
       prop_json_escape_no_raw_controls;
+      prop_ckpt_decode_hostile;
+      prop_ckpt_decode_mutated;
+      prop_ckpt_decode_truncated;
+      prop_ckpt_decode_v1_magic;
+      prop_ckpt_roundtrip_resumes;
+      prop_ckpt_decode_resealed;
     ]

@@ -49,6 +49,112 @@ let test_golden_motivating_by_hand () =
   check Alcotest.int "hand computation" expected
     (B.to_int (Var.Map.find (Var.v "out") out))
 
+(* --- Slot-compiled oracle vs. a plain environment fold ---------------------- *)
+
+(* The evaluator the slot-compiled oracle replaced: fold the nodes over
+   a variable map, in node order. *)
+let fold_eval ~width graph env =
+  let env =
+    List.fold_left
+      (fun env node ->
+        let operand = function
+          | Node.Operand_var v -> Var.Map.find v env
+          | Node.Operand_const c -> B.create ~width c
+        in
+        Var.Map.add (Node.result node)
+          (Op.eval (Node.op node) (List.map operand (Node.operands node)))
+          env)
+      env (Graph.nodes graph)
+  in
+  List.map (fun v -> Var.Map.find v env) (Graph.outputs graph)
+
+(* A random layered DFG over the whole op alphabet, plus one node with
+   a constant operand (the generator draws none) as an extra output. *)
+let oracle_case_gen =
+  let gen (seed, width) =
+    let rng = Mclock_util.Rng.create seed in
+    let spec =
+      {
+        Generator.name = "oracle";
+        layers = 1 + Mclock_util.Rng.int rng 4;
+        width = 1 + Mclock_util.Rng.int rng 3;
+        num_inputs = 1 + Mclock_util.Rng.int rng 4;
+        ops = Op.all;
+      }
+    in
+    let g = (Generator.generate rng spec).Generator.graph in
+    let src = List.hd (Graph.outputs g) in
+    let k = Var.v "k_const" in
+    let node =
+      Node.make ~id:(Graph.node_count g + 1)
+        ~op:(Mclock_util.Rng.choose rng [ Op.Add; Op.Sub; Op.Div; Op.Shl ])
+        ~operands:[ Node.Operand_var src; Node.Operand_const (Mclock_util.Rng.bits rng) ]
+        ~result:k
+    in
+    let graph =
+      Graph.create ~name:"oracle" ~inputs:(Graph.inputs g)
+        ~outputs:(Graph.outputs g @ [ k ])
+        (Graph.nodes g @ [ node ])
+    in
+    let row =
+      Array.of_list
+        (List.map (fun _ -> Mclock_util.Rng.bits rng) (Graph.inputs graph))
+    in
+    (width, graph, row)
+  in
+  QCheck.map gen QCheck.(pair small_nat (int_range 1 16))
+
+let prop_oracle_matches_fold =
+  QCheck.Test.make ~name:"slot-compiled oracle = environment fold" ~count:300
+    oracle_case_gen (fun (width, graph, row) ->
+      let oracle = Mclock_sim.Golden.compile ~width graph in
+      let env =
+        List.fold_left2
+          (fun env v x -> Var.Map.add v (B.create ~width x) env)
+          Var.Map.empty (Graph.inputs graph) (Array.to_list row)
+      in
+      let expected = fold_eval ~width graph env in
+      let got = Array.to_list (Mclock_sim.Golden.run oracle row) in
+      let via_eval =
+        let out = Mclock_sim.Golden.eval ~width graph env in
+        List.map (fun v -> Var.Map.find v out) (Graph.outputs graph)
+      in
+      List.equal B.equal expected got && List.equal B.equal expected via_eval)
+
+(* Corrupting one observed output of a real run must be reported as
+   exactly that iteration, variable, expected and actual value; erasing
+   one must be reported as never observed. *)
+let test_verify_pinpoints_corruption () =
+  let w = Mclock_workloads.Facet.t in
+  let graph = Mclock_workloads.Workload.graph w in
+  let design =
+    Flow.synthesize ~method_:(Flow.Integrated 2) ~name:"corrupt"
+      (Mclock_workloads.Workload.schedule w)
+  in
+  let width = Mclock_rtl.Datapath.width (Mclock_rtl.Design.datapath design) in
+  let r = Mclock_sim.Simulator.run ~seed:3 tech design ~iterations:9 in
+  let module S = Mclock_sim.Simulator in
+  let module V = Mclock_sim.Verify in
+  check Alcotest.bool "clean run verifies" true
+    (V.ok (V.check ~width graph r));
+  let var = List.nth (Graph.outputs graph) 1 in
+  let col = S.column r.S.output_vars var in
+  let good = r.S.outputs.(5).(col) in
+  let bad = (good + 1) land ((1 lsl width) - 1) in
+  r.S.outputs.(5).(col) <- bad;
+  (match (V.check ~width graph r).V.mismatches with
+  | [ m ] ->
+      check Alcotest.int "iteration" 6 m.V.iteration;
+      check Alcotest.string "variable" (Var.name var) (Var.name m.V.var);
+      check Alcotest.int "expected" good (B.to_int m.V.expected);
+      check Alcotest.(option int) "actual" (Some bad)
+        (Option.map B.to_int m.V.actual)
+  | ms -> fail (Printf.sprintf "%d mismatches, expected 1" (List.length ms)));
+  r.S.outputs.(5).(col) <- S.unobserved;
+  match (V.check ~width graph r).V.mismatches with
+  | [ { V.iteration = 6; actual = None; _ } ] -> ()
+  | _ -> fail "an erased output must be reported as never observed"
+
 (* --- Functional correctness of all flows ---------------------------------- *)
 
 let methods =
@@ -251,3 +357,7 @@ let suite =
     ("vcd from simulation", `Quick, test_vcd_from_simulation);
   ]
   @ functional_tests
+  @ [
+      QCheck_alcotest.to_alcotest prop_oracle_matches_fold;
+      ("verify pinpoints corruption", `Quick, test_verify_pinpoints_corruption);
+    ]

@@ -160,7 +160,7 @@ let test_single_iteration () =
   let s = Mclock_workloads.Workload.schedule w in
   let design = Flow.synthesize ~method_:(Flow.Integrated 3) ~name:"one" s in
   let r = Mclock_sim.Simulator.run tech design ~iterations:1 in
-  check Alcotest.int "one output set" 1 (List.length r.Mclock_sim.Simulator.outputs);
+  check Alcotest.int "one output set" 1 (Array.length r.Mclock_sim.Simulator.outputs);
   let verify = Mclock_sim.Verify.check ~width:4 graph r in
   check Alcotest.bool "verified" true (Mclock_sim.Verify.ok verify)
 
@@ -169,11 +169,16 @@ let test_outputs_observed_every_iteration () =
   let s = Mclock_workloads.Workload.schedule w in
   let design = Flow.synthesize ~method_:(Flow.Integrated 2) ~name:"obs" s in
   let r = Mclock_sim.Simulator.run tech design ~iterations:7 in
-  check Alcotest.int "seven output sets" 7 (List.length r.Mclock_sim.Simulator.outputs);
-  List.iter
-    (fun env ->
+  check Alcotest.int "seven output sets" 7 (Array.length r.Mclock_sim.Simulator.outputs);
+  let col =
+    Mclock_sim.Simulator.column r.Mclock_sim.Simulator.output_vars
+      (Mclock_dfg.Var.v "out")
+  in
+  check Alcotest.bool "out is a column" true (col >= 0);
+  Array.iter
+    (fun row ->
       check Alcotest.bool "out present" true
-        (Mclock_dfg.Var.Map.mem (Mclock_dfg.Var.v "out") env))
+        (row.(col) <> Mclock_sim.Simulator.unobserved))
     r.Mclock_sim.Simulator.outputs
 
 let test_observer_sees_all_cycles () =
