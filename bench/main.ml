@@ -1,7 +1,7 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Tables 1-4, Figures 1-7), runs the ablation studies
-   called out in DESIGN.md, and finishes with Bechamel micro-benchmarks
-   of the allocators and the simulator (one group per table).
+(* Paper-reproduction run: regenerates every table and figure of the
+   paper's evaluation (Tables 1-4, Figures 1-7), then the ablation
+   studies called out in DESIGN.md.  Performance is measured by
+   bench/perf (see BENCHMARK.json), not here.
 
    Every independent (design x workload x clock-count) evaluation cell
    runs on the mclock_exec worker pool; the tables are byte-identical
@@ -9,30 +9,7 @@
 
    Run with: dune exec bench/main.exe
    Flags: --smoke (first table + Figure 1 only, for CI)
-          --jobs N (worker domains; default MCLOCK_JOBS or cores-1)
-   Modes: sim-throughput (cycles/sec of the reference interpreter vs
-          the compiled kernel per workload x method; writes
-          BENCH_sim.json, --json PATH overrides; --smoke shrinks the
-          grid for CI)
-          explore (design-space exploration cold vs warm against a
-          fresh persistent cache; asserts the warm frontier is
-          byte-identical with zero simulations and writes
-          BENCH_explore.json)
-          search (successive-halving search cold vs warm against a
-          fresh persistent cache, then the exhaustive grid on the same
-          cache; asserts byte-identical warm documents, and — under
-          --smoke — that the winner equals the exhaustive best and the
-          search costs less than half the grid's simulated iterations;
-          writes BENCH_search.json)
-          resume (halving search with checkpointed incremental
-          promotion vs restart-per-rung on fresh caches; asserts
-          identical scores and winner, byte-identical warm documents,
-          winner equal to the exhaustive best, and — under --smoke —
-          >= 1.2x fewer simulated iterations; writes BENCH_resume.json)
-          static-accuracy (static power estimate vs simulation vs
-          certified bound over the catalog x every method; asserts
-          soundness on every cell and writes the error distribution
-          to BENCH_static.json) *)
+          --jobs N (worker domains; default MCLOCK_JOBS or cores-1) *)
 
 let tech = Mclock_tech.Cmos08.t
 let iterations = 500
@@ -633,829 +610,6 @@ let run_extended_workloads () =
       print_newline ())
     Mclock_workloads.Catalog.extended
 
-(* --- Bechamel micro-benchmarks --------------------------------------------------------------- *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let per_table w =
-    let schedule = Mclock_workloads.Workload.schedule w in
-    let name = w.Mclock_workloads.Workload.name in
-    let design =
-      Mclock_core.Flow.synthesize ~method_:(Mclock_core.Flow.Integrated 3)
-        ~name:"bench" schedule
-    in
-    Test.make_grouped ~name
-      [
-        Test.make ~name:"synth-suite"
-          (Staged.stage (fun () ->
-               ignore (Mclock_core.Flow.standard_suite ~name schedule)));
-        Test.make ~name:"synth-integrated-3clk"
-          (Staged.stage (fun () ->
-               ignore
-                 (Mclock_core.Flow.synthesize
-                    ~method_:(Mclock_core.Flow.Integrated 3) ~name:"b" schedule)));
-        Test.make ~name:"simulate-20-computations"
-          (Staged.stage (fun () ->
-               ignore (Mclock_sim.Simulator.run tech design ~iterations:20)));
-      ]
-  in
-  Test.make_grouped ~name:"mclock"
-    (List.map per_table Mclock_workloads.Catalog.paper_tables)
-
-let run_bechamel () =
-  section "Bechamel micro-benchmarks (time per run)";
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg instances (bechamel_tests ()) in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  let table =
-    Mclock_util.Table.create ~header:[ "benchmark"; "time per run" ]
-      ~aligns:Mclock_util.Table.[ Left; Right ]
-      ()
-  in
-  List.iter
-    (fun (name, ols) ->
-      let estimate =
-        match Analyze.OLS.estimates ols with
-        | Some (t :: _) ->
-            if t > 1e6 then Printf.sprintf "%.2f ms" (t /. 1e6)
-            else if t > 1e3 then Printf.sprintf "%.2f us" (t /. 1e3)
-            else Printf.sprintf "%.0f ns" t
-        | Some [] | None -> "n/a"
-      in
-      Mclock_util.Table.add_row table [ name; estimate ])
-    (List.sort compare rows);
-  Mclock_util.Table.print table
-
-(* --- Simulation throughput: reference interpreter vs compiled kernel --------------------------- *)
-
-(* `sim-throughput` times both kernels over workload x method cells and
-   writes the cycles/sec trajectory to BENCH_sim.json (override with
-   --json PATH).  The two runs must agree bit-for-bit on energy — the
-   benchmark doubles as one more differential check. *)
-let run_sim_throughput () =
-  let smoke = argv_flag "--smoke" in
-  let iterations = if smoke then 300 else 2000 in
-  let workloads =
-    if smoke then [ Mclock_workloads.Facet.t ] else Mclock_workloads.Catalog.all
-  in
-  let methods =
-    [
-      ("conv", Mclock_core.Flow.Conventional_non_gated);
-      ("gated", Mclock_core.Flow.Conventional_gated);
-      ("mc1", Mclock_core.Flow.Integrated 1);
-      ("mc2", Mclock_core.Flow.Integrated 2);
-      ("mc3", Mclock_core.Flow.Integrated 3);
-      ("split2", Mclock_core.Flow.Split 2);
-    ]
-  in
-  section
-    (Printf.sprintf
-       "Simulation throughput — reference vs compiled kernel (%d computations)"
-       iterations);
-  let table =
-    Mclock_util.Table.create
-      ~header:
-        [ "workload"; "method"; "cycles"; "reference [cyc/s]"; "compiled [cyc/s]"; "speedup" ]
-      ~aligns:
-        Mclock_util.Table.[ Left; Left; Right; Right; Right; Right ]
-      ()
-  in
-  let time run =
-    ignore (run 10); (* warm-up *)
-    let t0 = Unix.gettimeofday () in
-    let r = run iterations in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let results = ref [] in
-  List.iter
-    (fun w ->
-      let schedule = Mclock_workloads.Workload.schedule w in
-      List.iter
-        (fun (mlabel, m) ->
-          let design =
-            Mclock_core.Flow.synthesize ~method_:m ~name:mlabel schedule
-          in
-          let rr, ref_dt =
-            time (fun iterations ->
-                Mclock_sim.Simulator.run ~seed tech design ~iterations)
-          in
-          let kernel = Mclock_sim.Compiled.compile tech design in
-          let cr, comp_dt =
-            time (fun iterations ->
-                Mclock_sim.Compiled.run ~seed kernel ~iterations)
-          in
-          if
-            not
-              (Float.equal rr.Mclock_sim.Simulator.energy_pj
-                 cr.Mclock_sim.Simulator.energy_pj)
-          then
-            Fmt.failwith "%s/%s: kernels disagree on energy"
-              w.Mclock_workloads.Workload.name mlabel;
-          let cycles = rr.Mclock_sim.Simulator.cycles in
-          let ref_cps = float_of_int cycles /. ref_dt in
-          let comp_cps = float_of_int cycles /. comp_dt in
-          let speedup = comp_cps /. ref_cps in
-          results :=
-            (w.Mclock_workloads.Workload.name, mlabel, cycles, ref_cps, comp_cps, speedup)
-            :: !results;
-          Mclock_util.Table.add_row table
-            [
-              w.Mclock_workloads.Workload.name;
-              mlabel;
-              string_of_int cycles;
-              Printf.sprintf "%.3g" ref_cps;
-              Printf.sprintf "%.3g" comp_cps;
-              Printf.sprintf "%.2fx" speedup;
-            ])
-        methods)
-    workloads;
-  Mclock_util.Table.print table;
-  let results = List.rev !results in
-  let best =
-    List.fold_left (fun acc (_, _, _, _, _, s) -> max acc s) 0. results
-  in
-  Fmt.pr "@.best speedup: %.2fx@." best;
-  let path = Option.value (argv_opt "--json") ~default:"BENCH_sim.json" in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"benchmark\": \"sim-throughput\",\n  \"iterations\": %d,\n  \
-        \"seed\": %d,\n  \"results\": [\n"
-       iterations seed);
-  List.iteri
-    (fun i (wname, mlabel, cycles, ref_cps, comp_cps, speedup) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"workload\": %S, \"method\": %S, \"cycles\": %d, \
-            \"reference_cycles_per_sec\": %.6g, \"compiled_cycles_per_sec\": \
-            %.6g, \"speedup\": %.4g }%s\n"
-           wname mlabel cycles ref_cps comp_cps speedup
-           (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Fmt.pr "wrote %s@." path;
-  Mclock_exec.Pool.shutdown pool
-
-(* --- Design-space exploration: cold vs warm cache ---------------------------------------------- *)
-
-(* `explore` runs the full exploration twice per workload against a
-   fresh cache directory — a cold pass that populates it and a warm
-   pass that must serve every cell from the store — and reports wall
-   times, hit/miss/prune counters and the resulting speedup.  The warm
-   frontier must render byte-identically to the cold one; a mismatch
-   fails the benchmark (cache soundness is part of the contract, not
-   just a perf property). *)
-let run_explore () =
-  let smoke = argv_flag "--smoke" in
-  let iterations = if smoke then 120 else 400 in
-  let max_clocks = if smoke then 2 else 4 in
-  let workloads =
-    if smoke then [ Mclock_workloads.Facet.t ]
-    else Mclock_workloads.Catalog.paper_tables
-  in
-  section
-    (Printf.sprintf
-       "Design-space exploration — cold vs warm cache (max %d clocks, %d \
-        computations)"
-       max_clocks iterations);
-  let cache_dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mclock-bench-cache.%d" (Unix.getpid ()))
-  in
-  let table =
-    Mclock_util.Table.create
-      ~header:
-        [ "workload"; "cells"; "pruned"; "frontier"; "cold [s]"; "warm [s]";
-          "warm hits"; "speedup" ]
-      ~aligns:
-        Mclock_util.Table.[ Left; Right; Right; Right; Right; Right; Right; Right ]
-      ()
-  in
-  let results = ref [] in
-  List.iter
-    (fun w ->
-      let graph = Mclock_workloads.Workload.graph w in
-      let name = w.Mclock_workloads.Workload.name in
-      let sched_constraints = w.Mclock_workloads.Workload.constraints in
-      let cache = Mclock_explore.Store.open_ ~dir:cache_dir () in
-      let pass () =
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Mclock_explore.Engine.explore ~pool ~cache ~seed ~iterations
-            ~max_clocks ~name ~sched_constraints graph
-        in
-        (r, Unix.gettimeofday () -. t0)
-      in
-      let cold, cold_dt = pass () in
-      let warm, warm_dt = pass () in
-      let frontier r =
-        Mclock_util.Json.to_string (Mclock_explore.Engine.frontier_json r)
-      in
-      if frontier cold <> frontier warm then
-        Fmt.failwith "%s: warm-cache frontier differs from cold" name;
-      if warm.Mclock_explore.Engine.stats.Mclock_explore.Engine.simulated <> 0
-      then
-        Fmt.failwith "%s: warm pass simulated %d cells (expected 0)" name
-          warm.Mclock_explore.Engine.stats.Mclock_explore.Engine.simulated;
-      let cs = cold.Mclock_explore.Engine.stats in
-      let ws = warm.Mclock_explore.Engine.stats in
-      results := (name, cs, ws, cold_dt, warm_dt) :: !results;
-      Mclock_util.Table.add_row table
-        [
-          name;
-          string_of_int cs.Mclock_explore.Engine.enumerated;
-          string_of_int cs.Mclock_explore.Engine.pruned;
-          string_of_int
-            (List.length
-               cold.Mclock_explore.Engine.pareto.Mclock_explore.Pareto.frontier);
-          Printf.sprintf "%.3f" cold_dt;
-          Printf.sprintf "%.3f" warm_dt;
-          string_of_int ws.Mclock_explore.Engine.cache_hits;
-          Printf.sprintf "%.1fx" (cold_dt /. warm_dt);
-        ])
-    workloads;
-  Mclock_util.Table.print table;
-  (* The bench cache is throwaway; leave nothing behind. *)
-  (try
-     Array.iter
-       (fun f -> Sys.remove (Filename.concat cache_dir f))
-       (Sys.readdir cache_dir);
-     Unix.rmdir cache_dir
-   with Sys_error _ | Unix.Unix_error (_, _, _) -> ());
-  let path = Option.value (argv_opt "--json") ~default:"BENCH_explore.json" in
-  let json =
-    Mclock_util.Json.Obj
-      [
-        ("benchmark", Mclock_util.Json.String "explore");
-        ("iterations", Mclock_util.Json.Int iterations);
-        ("max_clocks", Mclock_util.Json.Int max_clocks);
-        ("seed", Mclock_util.Json.Int seed);
-        ( "results",
-          Mclock_util.Json.List
-            (List.rev_map
-               (fun (name, cs, ws, cold_dt, warm_dt) ->
-                 Mclock_util.Json.Obj
-                   [
-                     ("workload", Mclock_util.Json.String name);
-                     ( "enumerated",
-                       Mclock_util.Json.Int cs.Mclock_explore.Engine.enumerated
-                     );
-                     ("pruned", Mclock_util.Json.Int cs.Mclock_explore.Engine.pruned);
-                     ( "cold_simulated",
-                       Mclock_util.Json.Int cs.Mclock_explore.Engine.simulated );
-                     ( "warm_hits",
-                       Mclock_util.Json.Int ws.Mclock_explore.Engine.cache_hits );
-                     ("cold_seconds", Mclock_util.Json.Float cold_dt);
-                     ("warm_seconds", Mclock_util.Json.Float warm_dt);
-                     ( "speedup",
-                       Mclock_util.Json.Float (cold_dt /. warm_dt) );
-                   ])
-               !results) );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Mclock_util.Json.to_string_pretty json ^ "\n");
-  close_out oc;
-  Fmt.pr "wrote %s@." path;
-  Mclock_exec.Pool.shutdown pool
-
-(* --- Successive-halving search vs exhaustive grid ---------------------------------------------- *)
-
-(* `search` runs the halving search twice per workload against a fresh
-   cache (cold, then warm: the search document must be byte-identical
-   and the warm pass must simulate nothing), then runs the exhaustive
-   exploration against the same cache and checks the halving winner
-   against the exhaustive best under the same objective.  The headline
-   number is the simulated-iteration savings: halving's total
-   evaluation work vs the exhaustive grid at full fidelity. *)
-let run_search () =
-  let smoke = argv_flag "--smoke" in
-  let iterations = if smoke then 120 else 400 in
-  let max_clocks = if smoke then 2 else 4 in
-  let workloads =
-    if smoke then [ Mclock_workloads.Facet.t ]
-    else Mclock_workloads.Catalog.paper_tables
-  in
-  let objective = Mclock_explore.Objective.default in
-  section
-    (Printf.sprintf
-       "Successive-halving search vs exhaustive grid (max %d clocks, %d \
-        computations, objective %s)"
-       max_clocks iterations
-       (Mclock_explore.Objective.to_string objective))
-  ;
-  let cache_dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mclock-bench-search-cache.%d" (Unix.getpid ()))
-  in
-  let table =
-    Mclock_util.Table.create
-      ~header:
-        [ "workload"; "cells"; "rungs"; "search iters"; "grid iters";
-          "savings"; "winner"; "= exhaustive" ]
-      ~aligns:
-        Mclock_util.Table.[ Left; Right; Right; Right; Right; Right; Left; Left ]
-      ()
-  in
-  let results = ref [] in
-  List.iter
-    (fun w ->
-      let graph = Mclock_workloads.Workload.graph w in
-      let name = w.Mclock_workloads.Workload.name in
-      let sched_constraints = w.Mclock_workloads.Workload.constraints in
-      let cache = Mclock_explore.Store.open_ ~dir:cache_dir () in
-      let pass () =
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Mclock_explore.Halving.run ~pool ~cache ~seed ~iterations
-            ~max_clocks ~objective ~name ~sched_constraints graph
-        in
-        (r, Unix.gettimeofday () -. t0)
-      in
-      let cold, cold_dt = pass () in
-      let warm, warm_dt = pass () in
-      let doc r =
-        Mclock_util.Json.to_string (Mclock_explore.Halving.result_json r)
-      in
-      if doc cold <> doc warm then
-        Fmt.failwith "%s: warm-cache search document differs from cold" name;
-      if warm.Mclock_explore.Halving.stats.Mclock_explore.Halving.simulated <> 0
-      then
-        Fmt.failwith "%s: warm search simulated %d cells (expected 0)" name
-          warm.Mclock_explore.Halving.stats.Mclock_explore.Halving.simulated;
-      if warm.Mclock_explore.Halving.stats.Mclock_explore.Halving.cache_hits = 0
-      then Fmt.failwith "%s: warm search served no cache hits" name;
-      let winner =
-        match cold.Mclock_explore.Halving.winner with
-        | Some c -> c.Mclock_explore.Halving.c_label
-        | None -> Fmt.failwith "%s: search found no functional winner" name
-      in
-      (* The exhaustive grid shares the cache, so the halving rungs it
-         already paid for (the full-fidelity final rung in particular)
-         are not re-simulated. *)
-      let exhaustive =
-        Mclock_explore.Engine.explore ~pool ~cache ~seed ~iterations
-          ~max_clocks ~name ~sched_constraints graph
-      in
-      let exhaustive_best =
-        match Mclock_explore.Engine.best ~objective exhaustive with
-        | Some (cell, _) -> cell.Mclock_explore.Engine.cell_label
-        | None -> Fmt.failwith "%s: exhaustive grid has no functional cell" name
-      in
-      let matches = String.equal winner exhaustive_best in
-      (* The smoke grid is the CI contract: the halving winner must be
-         the exhaustive best, and the search must cost less than half
-         the grid.  The full catalog reports the same numbers without
-         failing, fidelity-vs-optimality being the trade-off under
-         study there. *)
-      if smoke && not matches then
-        Fmt.failwith "%s: halving winner %s but exhaustive best %s" name
-          winner exhaustive_best;
-      let search_iters = cold.Mclock_explore.Halving.evaluation_iterations in
-      let grid_iters = cold.Mclock_explore.Halving.exhaustive_iterations in
-      let savings = float_of_int grid_iters /. float_of_int search_iters in
-      if smoke && savings < 2.0 then
-        Fmt.failwith
-          "%s: halving saved only %.2fx vs the exhaustive grid (expected >= \
-           2x)"
-          name savings;
-      results :=
-        (name, cold, winner, exhaustive_best, matches, savings, cold_dt,
-         warm_dt, warm.Mclock_explore.Halving.stats)
-        :: !results;
-      Mclock_util.Table.add_row table
-        [
-          name;
-          string_of_int cold.Mclock_explore.Halving.enumerated;
-          string_of_int (List.length cold.Mclock_explore.Halving.rungs);
-          string_of_int search_iters;
-          string_of_int grid_iters;
-          Printf.sprintf "%.1fx" savings;
-          winner;
-          (if matches then "yes" else Printf.sprintf "no (%s)" exhaustive_best);
-        ])
-    workloads;
-  Mclock_util.Table.print table;
-  (* The bench cache is throwaway; leave nothing behind. *)
-  (try
-     Array.iter
-       (fun f -> Sys.remove (Filename.concat cache_dir f))
-       (Sys.readdir cache_dir);
-     Unix.rmdir cache_dir
-   with Sys_error _ | Unix.Unix_error (_, _, _) -> ());
-  let path = Option.value (argv_opt "--json") ~default:"BENCH_search.json" in
-  let json =
-    Mclock_util.Json.Obj
-      [
-        ("benchmark", Mclock_util.Json.String "search");
-        ("iterations", Mclock_util.Json.Int iterations);
-        ("max_clocks", Mclock_util.Json.Int max_clocks);
-        ("seed", Mclock_util.Json.Int seed);
-        ( "objective",
-          Mclock_util.Json.String (Mclock_explore.Objective.to_string objective)
-        );
-        ( "results",
-          Mclock_util.Json.List
-            (List.rev_map
-               (fun (name, cold, winner, exhaustive_best, matches, savings,
-                     cold_dt, warm_dt, warm_stats) ->
-                 Mclock_util.Json.Obj
-                   [
-                     ("workload", Mclock_util.Json.String name);
-                     ( "enumerated",
-                       Mclock_util.Json.Int
-                         cold.Mclock_explore.Halving.enumerated );
-                     ( "pruned",
-                       Mclock_util.Json.Int cold.Mclock_explore.Halving.pruned
-                     );
-                     ( "rungs",
-                       Mclock_util.Json.Int
-                         (List.length cold.Mclock_explore.Halving.rungs) );
-                     ( "search_iterations",
-                       Mclock_util.Json.Int
-                         cold.Mclock_explore.Halving.evaluation_iterations );
-                     ( "exhaustive_iterations",
-                       Mclock_util.Json.Int
-                         cold.Mclock_explore.Halving.exhaustive_iterations );
-                     ("savings", Mclock_util.Json.Float savings);
-                     ("winner", Mclock_util.Json.String winner);
-                     ( "exhaustive_best",
-                       Mclock_util.Json.String exhaustive_best );
-                     ("winner_matches", Mclock_util.Json.Bool matches);
-                     ("cold_seconds", Mclock_util.Json.Float cold_dt);
-                     ("warm_seconds", Mclock_util.Json.Float warm_dt);
-                     ( "warm_hits",
-                       Mclock_util.Json.Int
-                         warm_stats.Mclock_explore.Halving.cache_hits );
-                   ])
-               !results) );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Mclock_util.Json.to_string_pretty json ^ "\n");
-  close_out oc;
-  Fmt.pr "wrote %s@." path;
-  Mclock_exec.Pool.shutdown pool
-
-(* --- Checkpointed resume vs restart-per-rung --------------------------------------------------- *)
-
-(* `resume` quantifies what the checkpoint sidecars buy: the halving
-   search runs against two fresh caches, once with the default
-   incremental promotion (each rung extends the previous rung's
-   checkpoints) and once with --no-resume semantics (every rung
-   restarts from iteration zero).  Both searches must agree on every
-   score and the winner — resume is a pure cost optimization — and the
-   winner must equal the exhaustive best under the same objective.  A
-   warm re-run of the incremental search must render byte-identically
-   and simulate nothing.  The headline number is the reduction in
-   actually-simulated iterations; the smoke run enforces >= 1.2x as
-   the CI contract. *)
-let run_resume () =
-  let smoke = argv_flag "--smoke" in
-  let iterations = if smoke then 120 else 400 in
-  let max_clocks = if smoke then 2 else 4 in
-  let workloads =
-    if smoke then [ Mclock_workloads.Facet.t ]
-    else Mclock_workloads.Catalog.paper_tables
-  in
-  let objective = Mclock_explore.Objective.default in
-  section
-    (Printf.sprintf
-       "Checkpointed resume vs restart-per-rung (max %d clocks, %d \
-        computations, objective %s)"
-       max_clocks iterations
-       (Mclock_explore.Objective.to_string objective));
-  let fresh_cache tag name =
-    Mclock_explore.Store.open_
-      ~dir:
-        (Filename.concat
-           (Filename.get_temp_dir_name ())
-           (Printf.sprintf "mclock-bench-resume-%s-%s.%d" tag name
-              (Unix.getpid ())))
-      ()
-  in
-  let drop_cache cache =
-    let dir = Mclock_explore.Store.dir cache in
-    try
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Unix.rmdir dir
-    with Sys_error _ | Unix.Unix_error (_, _, _) -> ()
-  in
-  let table =
-    Mclock_util.Table.create
-      ~header:
-        [ "workload"; "cells"; "rungs"; "restart iters"; "resume iters";
-          "reduction"; "resumed"; "ckpts"; "winner"; "= exhaustive" ]
-      ~aligns:
-        Mclock_util.Table.[ Left; Right; Right; Right; Right; Right; Right;
-                            Right; Left; Left ]
-      ()
-  in
-  let results = ref [] in
-  List.iter
-    (fun w ->
-      let graph = Mclock_workloads.Workload.graph w in
-      let name = w.Mclock_workloads.Workload.name in
-      let sched_constraints = w.Mclock_workloads.Workload.constraints in
-      let search ~resume cache =
-        Mclock_explore.Halving.run ~pool ~cache ~seed ~iterations ~max_clocks
-          ~objective ~resume ~name ~sched_constraints graph
-      in
-      let doc r =
-        Mclock_util.Json.to_string (Mclock_explore.Halving.result_json r)
-      in
-      let resume_cache = fresh_cache "inc" name in
-      let cold = search ~resume:true resume_cache in
-      let warm = search ~resume:true resume_cache in
-      if doc cold <> doc warm then
-        Fmt.failwith "%s: warm-cache search document differs from cold" name;
-      if
-        warm.Mclock_explore.Halving.stats
-          .Mclock_explore.Halving.simulated_iterations <> 0
-      then
-        Fmt.failwith "%s: warm search simulated %d iterations (expected 0)"
-          name
-          warm.Mclock_explore.Halving.stats
-            .Mclock_explore.Halving.simulated_iterations;
-      let restart_cache = fresh_cache "restart" name in
-      let restart = search ~resume:false restart_cache in
-      drop_cache restart_cache;
-      let cs = cold.Mclock_explore.Halving.stats in
-      let rs = restart.Mclock_explore.Halving.stats in
-      let winner_label r =
-        match r.Mclock_explore.Halving.winner with
-        | Some c -> c.Mclock_explore.Halving.c_label
-        | None -> Fmt.failwith "%s: search found no functional winner" name
-      in
-      let winner = winner_label cold in
-      if not (String.equal winner (winner_label restart)) then
-        Fmt.failwith "%s: resume winner %s but restart winner %s" name winner
-          (winner_label restart);
-      (* Scores must agree rung by rung, not just the winner: resume
-         only changes where iterations come from. *)
-      let scores r =
-        List.concat_map
-          (fun rung ->
-            List.map
-              (fun c ->
-                (c.Mclock_explore.Halving.c_label,
-                 c.Mclock_explore.Halving.c_score))
-              rung.Mclock_explore.Halving.r_candidates)
-          r.Mclock_explore.Halving.rungs
-      in
-      if scores cold <> scores restart then
-        Fmt.failwith "%s: resume and restart rung scores differ" name;
-      (* The exhaustive grid shares the incremental cache, so the
-         full-fidelity final rung is already paid for. *)
-      let exhaustive =
-        Mclock_explore.Engine.explore ~pool ~cache:resume_cache ~seed
-          ~iterations ~max_clocks ~name ~sched_constraints graph
-      in
-      drop_cache resume_cache;
-      let exhaustive_best =
-        match Mclock_explore.Engine.best ~objective exhaustive with
-        | Some (cell, _) -> cell.Mclock_explore.Engine.cell_label
-        | None -> Fmt.failwith "%s: exhaustive grid has no functional cell" name
-      in
-      let matches = String.equal winner exhaustive_best in
-      if smoke && not matches then
-        Fmt.failwith "%s: halving winner %s but exhaustive best %s" name
-          winner exhaustive_best;
-      let reduction =
-        float_of_int rs.Mclock_explore.Halving.simulated_iterations
-        /. float_of_int cs.Mclock_explore.Halving.simulated_iterations
-      in
-      if smoke && reduction < 1.2 then
-        Fmt.failwith
-          "%s: checkpoints cut simulated iterations only %.2fx vs \
-           restart-per-rung (expected >= 1.2x)"
-          name reduction;
-      if cs.Mclock_explore.Halving.resumed = 0 then
-        Fmt.failwith "%s: cold incremental search resumed no checkpoints" name;
-      if cs.Mclock_explore.Halving.checkpoints_written = 0 then
-        Fmt.failwith "%s: cold incremental search wrote no checkpoints" name;
-      results := (name, cold, restart, winner, exhaustive_best, matches,
-                  reduction)
-                 :: !results;
-      Mclock_util.Table.add_row table
-        [
-          name;
-          string_of_int cold.Mclock_explore.Halving.enumerated;
-          string_of_int (List.length cold.Mclock_explore.Halving.rungs);
-          string_of_int rs.Mclock_explore.Halving.simulated_iterations;
-          string_of_int cs.Mclock_explore.Halving.simulated_iterations;
-          Printf.sprintf "%.1fx" reduction;
-          string_of_int cs.Mclock_explore.Halving.resumed;
-          string_of_int cs.Mclock_explore.Halving.checkpoints_written;
-          winner;
-          (if matches then "yes" else Printf.sprintf "no (%s)" exhaustive_best);
-        ])
-    workloads;
-  Mclock_util.Table.print table;
-  let path = Option.value (argv_opt "--json") ~default:"BENCH_resume.json" in
-  let json =
-    Mclock_util.Json.Obj
-      [
-        ("benchmark", Mclock_util.Json.String "resume");
-        ("iterations", Mclock_util.Json.Int iterations);
-        ("max_clocks", Mclock_util.Json.Int max_clocks);
-        ("seed", Mclock_util.Json.Int seed);
-        ( "objective",
-          Mclock_util.Json.String (Mclock_explore.Objective.to_string objective)
-        );
-        ( "results",
-          Mclock_util.Json.List
-            (List.rev_map
-               (fun (name, cold, restart, winner, exhaustive_best, matches,
-                     reduction) ->
-                 let cs = cold.Mclock_explore.Halving.stats in
-                 let rs = restart.Mclock_explore.Halving.stats in
-                 Mclock_util.Json.Obj
-                   [
-                     ("workload", Mclock_util.Json.String name);
-                     ( "enumerated",
-                       Mclock_util.Json.Int
-                         cold.Mclock_explore.Halving.enumerated );
-                     ( "rungs",
-                       Mclock_util.Json.Int
-                         (List.length cold.Mclock_explore.Halving.rungs) );
-                     ( "restart_simulated_iterations",
-                       Mclock_util.Json.Int
-                         rs.Mclock_explore.Halving.simulated_iterations );
-                     ( "resume_simulated_iterations",
-                       Mclock_util.Json.Int
-                         cs.Mclock_explore.Halving.simulated_iterations );
-                     ("reduction", Mclock_util.Json.Float reduction);
-                     ( "resumed",
-                       Mclock_util.Json.Int cs.Mclock_explore.Halving.resumed );
-                     ( "resumed_iterations",
-                       Mclock_util.Json.Int
-                         cs.Mclock_explore.Halving.resumed_iterations );
-                     ( "checkpoints_written",
-                       Mclock_util.Json.Int
-                         cs.Mclock_explore.Halving.checkpoints_written );
-                     ("winner", Mclock_util.Json.String winner);
-                     ( "exhaustive_best",
-                       Mclock_util.Json.String exhaustive_best );
-                     ("winner_matches", Mclock_util.Json.Bool matches);
-                   ])
-               !results) );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Mclock_util.Json.to_string_pretty json ^ "\n");
-  close_out oc;
-  Fmt.pr "wrote %s@." path;
-  Mclock_exec.Pool.shutdown pool
-
-(* --- Static estimate accuracy ------------------------------------------------------------------ *)
-
-(* Sweeps the catalog x all allocation methods x n in {1,2,4},
-   asserting the certified static bound dominates both the analytic
-   estimate and the simulated power on every cell, and writes the
-   estimate error distribution to BENCH_static.json (--json PATH
-   overrides; --smoke shrinks the grid for CI). *)
-let run_static_accuracy () =
-  let smoke = argv_flag "--smoke" in
-  let iterations = if smoke then 100 else 400 in
-  let workloads =
-    if smoke then [ Mclock_workloads.Facet.t ]
-    else Mclock_workloads.Catalog.all
-  in
-  let methods =
-    [
-      ("conv", Mclock_core.Flow.Conventional_non_gated);
-      ("gated", Mclock_core.Flow.Conventional_gated);
-      ("mc1", Mclock_core.Flow.Integrated 1);
-      ("mc2", Mclock_core.Flow.Integrated 2);
-      ("mc4", Mclock_core.Flow.Integrated 4);
-      ("split2", Mclock_core.Flow.Split 2);
-      ("split4", Mclock_core.Flow.Split 4);
-    ]
-  in
-  section
-    (Printf.sprintf
-       "Static estimate vs simulation vs certified bound (%d computations)"
-       iterations);
-  let table =
-    Mclock_util.Table.create
-      ~header:
-        [ "workload"; "method"; "estimate [mW]"; "simulated [mW]";
-          "bound [mW]"; "error"; "bound/sim" ]
-      ~aligns:
-        Mclock_util.Table.[ Left; Left; Right; Right; Right; Right; Right ]
-      ()
-  in
-  let cells = ref [] in
-  List.iter
-    (fun w ->
-      let name = w.Mclock_workloads.Workload.name in
-      let graph = Mclock_workloads.Workload.graph w in
-      let schedule = Mclock_workloads.Workload.schedule w in
-      List.iter
-        (fun (label, m) ->
-          let d = Mclock_core.Flow.synthesize ~method_:m ~name schedule in
-          let a = Mclock_static.Analyze.run ~iterations tech d in
-          let c = Mclock_static.Report.compare_with_simulation ~seed tech d graph a in
-          if not c.Mclock_static.Report.sound then
-            Fmt.failwith "%s/%s: bound violated (est %.4f sim %.4f bound %.4f)"
-              name label a.Mclock_static.Analyze.est_power_mw
-              c.Mclock_static.Report.simulated_power_mw
-              a.Mclock_static.Analyze.b_power_mw;
-          let sim = c.Mclock_static.Report.simulated_power_mw in
-          let bound_ratio = a.Mclock_static.Analyze.b_power_mw /. sim in
-          cells := (name, label, a, c, bound_ratio) :: !cells;
-          Mclock_util.Table.add_row table
-            [
-              name;
-              label;
-              Printf.sprintf "%.4f" a.Mclock_static.Analyze.est_power_mw;
-              Printf.sprintf "%.4f" sim;
-              Printf.sprintf "%.4f" a.Mclock_static.Analyze.b_power_mw;
-              Printf.sprintf "%+.1f%%" (100. *. c.Mclock_static.Report.rel_error);
-              Printf.sprintf "%.2fx" bound_ratio;
-            ])
-        methods)
-    workloads;
-  Mclock_util.Table.print table;
-  let cells = List.rev !cells in
-  let errors = List.map (fun (_, _, _, c, _) -> c.Mclock_static.Report.rel_error) cells in
-  let ratios = List.map (fun (_, _, _, _, r) -> r) cells in
-  let mean xs = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs) in
-  let fold f = function
-    | [] -> nan
-    | x :: xs -> List.fold_left f x xs
-  in
-  let max_abs_error = fold Float.max (List.map Float.abs errors) in
-  Fmt.pr
-    "error: mean %+.2f%%, mean |e| %.2f%%, max |e| %.2f%%; bound/sim: min \
-     %.2fx, max %.2fx — all %d cells sound@."
-    (100. *. mean errors)
-    (100. *. mean (List.map Float.abs errors))
-    (100. *. max_abs_error)
-    (fold Float.min ratios) (fold Float.max ratios) (List.length cells);
-  let path = Option.value (argv_opt "--json") ~default:"BENCH_static.json" in
-  let json =
-    Mclock_util.Json.Obj
-      [
-        ("benchmark", Mclock_util.Json.String "static-accuracy");
-        ("iterations", Mclock_util.Json.Int iterations);
-        ("seed", Mclock_util.Json.Int seed);
-        ("stimulus", Mclock_util.Json.String "uniform");
-        ( "summary",
-          Mclock_util.Json.Obj
-            [
-              ("cells", Mclock_util.Json.Int (List.length cells));
-              ("all_sound", Mclock_util.Json.Bool true);
-              ("mean_error", Mclock_util.Json.Float (mean errors));
-              ( "mean_abs_error",
-                Mclock_util.Json.Float (mean (List.map Float.abs errors)) );
-              ("max_abs_error", Mclock_util.Json.Float max_abs_error);
-              ("min_bound_ratio", Mclock_util.Json.Float (fold Float.min ratios));
-              ("max_bound_ratio", Mclock_util.Json.Float (fold Float.max ratios));
-            ] );
-        ( "cells",
-          Mclock_util.Json.List
-            (List.map
-               (fun (name, label, a, c, ratio) ->
-                 Mclock_util.Json.Obj
-                   [
-                     ("workload", Mclock_util.Json.String name);
-                     ("method", Mclock_util.Json.String label);
-                     ( "estimate_mw",
-                       Mclock_util.Json.Float a.Mclock_static.Analyze.est_power_mw );
-                     ( "simulated_mw",
-                       Mclock_util.Json.Float
-                         c.Mclock_static.Report.simulated_power_mw );
-                     ( "bound_mw",
-                       Mclock_util.Json.Float a.Mclock_static.Analyze.b_power_mw );
-                     ( "rel_error",
-                       Mclock_util.Json.Float c.Mclock_static.Report.rel_error );
-                     ("bound_ratio", Mclock_util.Json.Float ratio);
-                   ])
-               cells) );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Mclock_util.Json.to_string_pretty json ^ "\n");
-  close_out oc;
-  Fmt.pr "wrote %s@." path
-
 (* --- Entry ------------------------------------------------------------------------------------- *)
 
 let check_failures all_reports =
@@ -1502,7 +656,6 @@ let run_full () =
   run_stimulus_study ();
   run_voltage_study ();
   run_extended_workloads ();
-  run_bechamel ();
   section "Summary — power savings of the 3-clock scheme vs gated clocks";
   List.iter
     (fun (w, reports) ->
@@ -1520,10 +673,4 @@ let run_full () =
 
 let () =
   Fmt.pr "mclock benchmark harness — %a@." Mclock_tech.Library.pp tech;
-  if argv_flag "sim-throughput" then run_sim_throughput ()
-  else if argv_flag "explore" then run_explore ()
-  else if argv_flag "search" then run_search ()
-  else if argv_flag "resume" then run_resume ()
-  else if argv_flag "static-accuracy" then run_static_accuracy ()
-  else if argv_flag "--smoke" then run_smoke ()
-  else run_full ()
+  if argv_flag "--smoke" then run_smoke () else run_full ()

@@ -136,13 +136,6 @@ let iterations_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Stimulus seed.")
 
-let kernel_arg =
-  let kind = Arg.enum [ ("compiled", `Compiled); ("reference", `Reference) ] in
-  Arg.(value & opt kind `Compiled & info [ "kernel" ] ~docv:"KERNEL"
-         ~doc:"Simulation kernel: $(b,compiled) (precompiled engine, default) \
-               or $(b,reference) (interpreter). Results are bit-identical; \
-               only wall-clock time differs.")
-
 let jobs_arg =
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Worker domains for parallel evaluation. Defaults to the \
@@ -259,8 +252,8 @@ let synth_cmd =
     Arg.(value & opt (some string) None & info [ "vcd" ] ~docv:"PATH"
            ~doc:"Write a VCD waveform trace of the first computations to $(docv).")
   in
-  let run workload file scheduler method_ clocks iterations seed kernel vhdl
-      verilog dot vcd trace trace_summary =
+  let run workload file scheduler method_ clocks iterations seed vhdl verilog
+      dot vcd trace trace_summary =
     let ok =
       with_tracing ~name:"synth" ~trace ~trace_summary @@ fun () ->
       let input = or_die (load ~workload ~file ~scheduler) in
@@ -286,30 +279,24 @@ let synth_cmd =
         vcd
     in
     let sim =
-      match kernel with
-      | `Reference -> Mclock_sim.Simulator.run ~seed ?trace tech design ~iterations
-      | `Compiled ->
-          Mclock_sim.Compiled.run ~seed ?trace
-            (Mclock_sim.Compiled.compile tech design)
-            ~iterations
+      Mclock_sim.Compiled.run ~seed ?trace
+        (Mclock_sim.Compiled.compile tech design)
+        ~iterations
     in
-    let verify =
-      Mclock_sim.Verify.check
-        ~width:(Mclock_rtl.Datapath.width (Mclock_rtl.Design.datapath design))
-        input.graph sim
-    in
+    (* One simulation feeds both the VCD trace and the report. *)
     let report =
-      Mclock_power.Report.evaluate ~seed ~iterations ~kernel
-        ~label:(Mclock_core.Flow.method_label m) tech design input.graph
+      Mclock_power.Report.of_sim ~label:(Mclock_core.Flow.method_label m) tech
+        design input.graph ~iterations sim
     in
     Fmt.pr "design:      %s (%s)@." name (Mclock_rtl.Design.style_label design);
-    Fmt.pr "power:       %.3f mW (%d computations)@." sim.Mclock_sim.Simulator.power_mw iterations;
+    Fmt.pr "power:       %.3f mW (%d computations)@." report.Mclock_power.Report.power_mw iterations;
     Fmt.pr "area:        %.0f lambda^2@." report.Mclock_power.Report.area.Mclock_power.Area.design_total;
     Fmt.pr "ALUs:        %s@." report.Mclock_power.Report.alus;
     Fmt.pr "mem cells:   %d@." report.Mclock_power.Report.memory_cells;
     Fmt.pr "mux inputs:  %d@." report.Mclock_power.Report.mux_inputs;
     Fmt.pr "functional:  %s@."
-      (if Mclock_sim.Verify.ok verify then "verified against golden model"
+      (if report.Mclock_power.Report.functional_ok then
+         "verified against golden model"
        else "MISMATCH");
     print_endline (Mclock_power.Report.render_category_breakdown report);
     let write path contents =
@@ -329,7 +316,7 @@ let synth_cmd =
         | Some t -> write p (Mclock_sim.Vcd.contents t.Mclock_sim.Simulator.vcd)
         | None -> ())
       vcd;
-      Mclock_sim.Verify.ok verify
+      report.Mclock_power.Report.functional_ok
     in
     if not ok then exit 2
   in
@@ -338,7 +325,7 @@ let synth_cmd =
        ~doc:"Synthesize one design; simulate, verify and report power/area.")
     Term.(
       const run $ workload_arg $ file_arg $ scheduler_arg $ method_arg
-      $ clocks_arg $ iterations_arg $ seed_arg $ kernel_arg $ vhdl_arg
+      $ clocks_arg $ iterations_arg $ seed_arg $ vhdl_arg
       $ verilog_arg $ dot_arg $ vcd_arg $ trace_arg $ trace_summary_arg)
 
 (* --- lint --------------------------------------------------------------------- *)
@@ -409,8 +396,7 @@ let lint_cmd =
 (* --- table --------------------------------------------------------------------- *)
 
 let table_cmd =
-  let run workload file scheduler iterations seed kernel jobs trace
-      trace_summary =
+  let run workload file scheduler iterations seed jobs trace trace_summary =
     require_positive ~what:"--iterations" iterations;
     Option.iter (require_positive ~what:"--jobs") jobs;
     with_tracing ~name:"table" ~trace ~trace_summary @@ fun () ->
@@ -419,7 +405,7 @@ let table_cmd =
     let suite = Mclock_core.Flow.standard_suite ~name input.schedule in
     Mclock_exec.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
         let reports =
-          Mclock_power.Report.evaluate_batch ~pool ~seed ~iterations ~kernel tech
+          Mclock_power.Report.evaluate_batch ~pool ~seed ~iterations tech
             (List.map
                (fun (m, design) ->
                  (Mclock_core.Flow.method_label m, design, input.graph))
@@ -434,7 +420,7 @@ let table_cmd =
     (Cmd.info "table" ~doc:"The paper's five-design comparison table.")
     Term.(
       const run $ workload_arg $ file_arg $ scheduler_arg $ iterations_arg
-      $ seed_arg $ kernel_arg $ jobs_arg $ trace_arg $ trace_summary_arg)
+      $ seed_arg $ jobs_arg $ trace_arg $ trace_summary_arg)
 
 (* --- controller ------------------------------------------------------------------ *)
 
@@ -495,7 +481,7 @@ let sweep_cmd =
   let max_arg =
     Arg.(value & opt int 4 & info [ "max" ] ~docv:"N" ~doc:"Largest clock count.")
   in
-  let run workload file scheduler iterations seed kernel max_n jobs trace
+  let run workload file scheduler iterations seed max_n jobs trace
       trace_summary =
     require_positive ~what:"--iterations" iterations;
     require_positive ~what:"--max" max_n;
@@ -521,7 +507,7 @@ let sweep_cmd =
                   ~method_:(Mclock_core.Flow.Integrated n)
                   ~name:(Printf.sprintf "mc%d" n) input.schedule
               in
-              Mclock_power.Report.evaluate ~seed ~iterations ~kernel
+              Mclock_power.Report.evaluate ~seed ~iterations
                 ~label:(string_of_int n) tech design input.graph)
             (Mclock_util.List_ext.range 1 max_n))
     in
@@ -543,7 +529,7 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc:"Power/area across clock counts 1..N.")
     Term.(
       const run $ workload_arg $ file_arg $ scheduler_arg $ iterations_arg
-      $ seed_arg $ kernel_arg $ max_arg $ jobs_arg $ trace_arg
+      $ seed_arg $ max_arg $ jobs_arg $ trace_arg
       $ trace_summary_arg)
 
 (* --- explore / search shared options ------------------------------------- *)

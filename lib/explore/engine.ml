@@ -383,8 +383,8 @@ let explore ~pool ?cache ?(constraints = []) ?(seed = 42) ?(iterations = 400)
             ]
         @@ fun () ->
         let report =
-          Mclock_power.Report.evaluate ~seed ~iterations ~kernel:`Compiled
-            ~label:p.p_label tech p.p_design graph
+          Mclock_power.Report.evaluate ~seed ~iterations ~label:p.p_label tech
+            p.p_design graph
         in
         Metrics.of_report ~config:p.p_config ~tech
           ~latency_steps:(Mclock_rtl.Design.num_steps p.p_design)

@@ -18,20 +18,6 @@ type t = {
   functional_ok : bool;
 }
 
-(* The compiled kernel is the default engine; it is differentially
-   tested bit-identical to [Simulator.run], so the choice only affects
-   wall-clock time.  [`Reference] keeps the interpreter reachable for
-   cross-checks and benchmarks. *)
-type kernel = [ `Compiled | `Reference ]
-
-let simulate ~kernel ~seed tech design ~iterations =
-  match kernel with
-  | `Reference -> Mclock_sim.Simulator.run ~seed tech design ~iterations
-  | `Compiled ->
-      Mclock_sim.Compiled.run ~seed
-        (Mclock_sim.Compiled.compile tech design)
-        ~iterations
-
 let of_sim ~label tech design graph ~iterations sim =
   let width = Datapath.width (Design.datapath design) in
   let verify = Mclock_sim.Verify.check ~width graph sim in
@@ -52,9 +38,15 @@ let of_sim ~label tech design graph ~iterations sim =
     functional_ok = Mclock_sim.Verify.ok verify;
   }
 
-let evaluate ?(seed = 42) ?(iterations = 400) ?(kernel = `Compiled) ~label tech
-    design graph =
-  let sim = simulate ~kernel ~seed tech design ~iterations in
+(* The compiled kernel is differentially tested bit-identical to
+   [Simulator.run], which stays as the reference that tests compare
+   against. *)
+let evaluate ?(seed = 42) ?(iterations = 400) ~label tech design graph =
+  let sim =
+    Mclock_sim.Compiled.run ~seed
+      (Mclock_sim.Compiled.compile tech design)
+      ~iterations
+  in
   of_sim ~label tech design graph ~iterations sim
 
 (* Checkpointed evaluation: always the compiled kernel (checkpoints
@@ -75,7 +67,7 @@ let evaluate_resumable ?(seed = 42) ?(iterations = 400) ?resume_from ~label
 (* Batch evaluation across the exec pool.  Each cell is an independent
    simulation from the same integer seed, so the reports are identical
    whatever the worker count; the pool only changes wall-clock time. *)
-let evaluate_batch ~pool ?seed ?iterations ?kernel tech cells =
+let evaluate_batch ~pool ?seed ?iterations tech cells =
   (* The label callback runs once per task; indexing the list with
      [List.nth] made labelling O(rows^2).  One [Array.of_list] up front
      keeps each lookup O(1). *)
@@ -85,7 +77,7 @@ let evaluate_batch ~pool ?seed ?iterations ?kernel tech cells =
       let label, design, _ = cells_arr.(i) in
       Printf.sprintf "%s/%s" (Design.name design) label)
     (fun _ (label, design, graph) ->
-      evaluate ?seed ?iterations ?kernel ~label tech design graph)
+      evaluate ?seed ?iterations ~label tech design graph)
     cells
 
 let paper_table ?title reports =

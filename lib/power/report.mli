@@ -15,22 +15,29 @@ type t = {
   functional_ok : bool;
 }
 
-type kernel = [ `Compiled | `Reference ]
-(** Simulation engine: the precompiled kernel (default — differentially
-    tested bit-identical to the interpreter, just faster) or the
-    reference interpreter {!Mclock_sim.Simulator.run}. *)
+val of_sim :
+  label:string ->
+  Mclock_tech.Library.t ->
+  Mclock_rtl.Design.t ->
+  Mclock_dfg.Graph.t ->
+  iterations:int ->
+  Mclock_sim.Simulator.result ->
+  t
+(** [of_sim ~label tech design graph ~iterations sim] verifies an
+    existing simulation of [design] against golden evaluation of
+    [graph] and collects the paper's table columns, without simulating
+    again. *)
 
 val evaluate :
   ?seed:int ->
   ?iterations:int ->
-  ?kernel:kernel ->
   label:string ->
   Mclock_tech.Library.t ->
   Mclock_rtl.Design.t ->
   Mclock_dfg.Graph.t ->
   t
-(** Simulate (default 400 computations), verify against golden
-    evaluation, and collect the paper's table columns. *)
+(** Simulate with the compiled kernel (default 400 computations), then
+    {!of_sim}. *)
 
 val evaluate_resumable :
   ?seed:int ->
@@ -54,7 +61,6 @@ val evaluate_batch :
   pool:Mclock_exec.Pool.t ->
   ?seed:int ->
   ?iterations:int ->
-  ?kernel:kernel ->
   Mclock_tech.Library.t ->
   (string * Mclock_rtl.Design.t * Mclock_dfg.Graph.t) list ->
   t list

@@ -62,6 +62,7 @@ let methods =
     Flow.Conventional_gated;
     Flow.Integrated 1;
     Flow.Integrated 2;
+    Flow.Integrated 3;
     Flow.Integrated 4;
     Flow.Split 1;
     Flow.Split 2;

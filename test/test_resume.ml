@@ -462,6 +462,14 @@ let test_halving_resume_deterministic () =
         (match cold.Halving.winner with
         | Some w -> w.Halving.c_label
         | None -> "none");
+      (* Rung labels, budgets, scores and kept sets do not depend on
+         whether promotions resume. *)
+      let rungs r =
+        Mclock_util.Json.member "rungs" (Halving.result_json r)
+        |> Option.get |> Mclock_util.Json.to_string
+      in
+      check Alcotest.string "rungs invariant under resume" (rungs restart)
+        (rungs cold);
       let ratio =
         float_of_int restart.Halving.stats.Halving.simulated_iterations
         /. float_of_int cold.Halving.stats.Halving.simulated_iterations
