@@ -102,6 +102,14 @@ let load ~workload ~file ~scheduler =
   | Some _, Some _ -> Error "--workload and --file are mutually exclusive"
   | None, None -> Error "need --workload NAME or --file PATH"
 
+(* The name a design is reported under: the workload's, else the file's
+   base name. *)
+let design_name ~workload ~file =
+  match (workload, file) with
+  | Some n, _ -> n
+  | _, Some p -> Filename.remove_extension (Filename.basename p)
+  | None, None -> "design"
+
 (* --- Common options --------------------------------------------------------- *)
 
 let workload_arg =
@@ -258,12 +266,7 @@ let synth_cmd =
       with_tracing ~name:"synth" ~trace ~trace_summary @@ fun () ->
       let input = or_die (load ~workload ~file ~scheduler) in
     let m = method_of (method_, clocks) in
-    let name =
-      match (workload, file) with
-      | Some n, _ -> n
-      | _, Some p -> Filename.remove_extension (Filename.basename p)
-      | None, None -> "design"
-    in
+    let name = design_name ~workload ~file in
     let design = Mclock_core.Flow.synthesize ~method_:m ~name input.schedule in
     (* [synthesize] already failed on lint errors; surface the rest. *)
     List.iter
@@ -348,12 +351,7 @@ let lint_cmd =
   let run workload file scheduler method_ clocks json werror no_transfers =
     let input = or_die (load ~workload ~file ~scheduler) in
     let m = method_of (method_, clocks) in
-    let name =
-      match (workload, file) with
-      | Some n, _ -> n
-      | _, Some p -> Filename.remove_extension (Filename.basename p)
-      | None, None -> "design"
-    in
+    let name = design_name ~workload ~file in
     let behaviour_diags =
       let assignments =
         List.map
@@ -364,15 +362,14 @@ let lint_cmd =
       in
       Mclock_lint.Lint.behaviour input.graph assignments
     in
+    (match m with
+    | Mclock_core.Flow.Integrated _ -> ()
+    | _ when no_transfers ->
+        or_die (Error "--no-transfers only applies to --method mc")
+    | _ -> ());
     let design =
-      if no_transfers then
-        match m with
-        | Mclock_core.Flow.Integrated n ->
-            (Mclock_core.Integrated.run ~transfers:false ~n ~name
-               input.schedule)
-              .Mclock_core.Integrated.design
-        | _ -> or_die (Error "--no-transfers only applies to --method mc")
-      else Mclock_core.Flow.synthesize ~lint:false ~method_:m ~name input.schedule
+      Mclock_core.Flow.synthesize ~lint:false ~transfers:(not no_transfers)
+        ~method_:m ~name input.schedule
     in
     let diags =
       Mclock_lint.Diagnostic.promote ~werror
@@ -596,6 +593,18 @@ let parse_constraints constraints =
     (fun s -> or_die (Mclock_explore.Metrics.parse_constraint s))
     constraints
 
+(* The [--smoke] defaults: the facet workload (unless one is given),
+   2 clocks and 120 computations per cell, instead of 4 and 400. *)
+let smoke_defaults ~smoke ~workload ~file ~max_clocks ~iterations =
+  let workload =
+    match (workload, file, smoke) with
+    | None, None, true -> Some "facet"
+    | w, _, _ -> w
+  in
+  ( workload,
+    Option.value max_clocks ~default:(if smoke then 2 else 4),
+    Option.value iterations ~default:(if smoke then 120 else 400) )
+
 let sched_constraints_of ~workload =
   match workload with
   | Some n -> (
@@ -614,30 +623,16 @@ let explore_cmd =
                  reruns and job counts; cache counters are excluded (see \
                  $(b,--stats-json)).")
   in
-  let estimate_first_arg =
-    Arg.(value & flag & info [ "estimate-first" ]
-           ~doc:"Rank cache misses by static power estimate (ascending) \
-                 before simulating, so the most promising cells evaluate \
-                 first.")
-  in
-  let top_k_arg =
-    Arg.(value & opt (some int) None & info [ "top-k" ] ~docv:"K"
-           ~doc:"Simulate only the $(docv) best-ranked misses (implies \
-                 $(b,--estimate-first)); the rest are reported with their \
-                 static estimate only.")
-  in
   let best_arg =
     Arg.(value & flag & info [ "best" ]
            ~doc:"Also print the best evaluated cell under the scalarized \
                  $(b,--objective) (default: pure power).")
   in
   let run workload file max_clocks constraints iterations seed jobs cache_dir
-      no_cache json stats_json smoke estimate_first top_k objective best trace
-      trace_summary =
+      no_cache json stats_json smoke objective best trace trace_summary =
     Option.iter (require_positive ~what:"--iterations") iterations;
     Option.iter (require_positive ~what:"--max-clocks") max_clocks;
     Option.iter (require_positive ~what:"--jobs") jobs;
-    Option.iter (require_positive ~what:"--top-k") top_k;
     let any_functional_failure =
       with_tracing ~name:"explore" ~trace ~trace_summary @@ fun () ->
     let objective_opt =
@@ -652,16 +647,8 @@ let explore_cmd =
     let all_workloads = workload = Some "all" in
     if all_workloads && file <> None then
       or_die (Error "--workload all cannot be combined with --file");
-    let workload =
-      match (workload, file, smoke) with
-      | None, None, true -> Some "facet"
-      | w, _, _ -> w
-    in
-    let max_clocks =
-      match max_clocks with Some n -> n | None -> if smoke then 2 else 4
-    in
-    let iterations =
-      match iterations with Some n -> n | None -> if smoke then 120 else 400
+    let workload, max_clocks, iterations =
+      smoke_defaults ~smoke ~workload ~file ~max_clocks ~iterations
     in
     let constraints = parse_constraints constraints in
     (* --workload all: every catalog behaviour in one pool session
@@ -676,13 +663,11 @@ let explore_cmd =
           Mclock_workloads.Catalog.all
       else
         let input = or_die (load ~workload ~file ~scheduler:`Annotated) in
-        let name =
-          match (workload, file) with
-          | Some n, _ -> n
-          | _, Some p -> Filename.remove_extension (Filename.basename p)
-          | None, None -> "design"
-        in
-        [ (name, input.graph, sched_constraints_of ~workload) ]
+        [
+          ( design_name ~workload ~file,
+            input.graph,
+            sched_constraints_of ~workload );
+        ]
     in
     let cache =
       if no_cache then None else Some (Mclock_explore.Store.open_ ~dir:cache_dir ())
@@ -692,8 +677,7 @@ let explore_cmd =
           List.map
             (fun (name, graph, sched_constraints) ->
               Mclock_explore.Engine.explore ~pool ?cache ~constraints ~seed
-                ~iterations ~max_clocks ~estimate_first ?top_k ~name
-                ~sched_constraints graph)
+                ~iterations ~max_clocks ~name ~sched_constraints graph)
             targets)
     in
     List.iter
@@ -734,9 +718,7 @@ let explore_cmd =
               | Mclock_explore.Engine.Cached m
               | Mclock_explore.Engine.Simulated m ->
                   not m.Mclock_explore.Metrics.functional_ok
-              | Mclock_explore.Engine.Pruned _
-              | Mclock_explore.Engine.Skipped _ ->
-                  false)
+              | Mclock_explore.Engine.Pruned _ -> false)
             result.Mclock_explore.Engine.cells)
         results
     in
@@ -753,9 +735,8 @@ let explore_cmd =
     Term.(
       const run $ workload_arg $ file_arg $ max_clocks_arg $ constraint_arg
       $ explore_iterations_arg $ seed_arg $ jobs_arg $ cache_dir_arg
-      $ no_cache_arg $ json_arg $ stats_json_arg $ smoke_arg
-      $ estimate_first_arg $ top_k_arg $ objective_arg $ best_arg
-      $ trace_arg $ trace_summary_arg)
+      $ no_cache_arg $ json_arg $ stats_json_arg $ smoke_arg $ objective_arg
+      $ best_arg $ trace_arg $ trace_summary_arg)
 
 (* --- search ------------------------------------------------------------------ *)
 
@@ -779,55 +760,16 @@ let search_cmd =
                  cache states; cache counters are excluded (see \
                  $(b,--stats-json)).")
   in
-  let no_resume_arg =
-    Arg.(value & flag & info [ "no-resume" ]
-           ~doc:"Restart every rung's simulations from iteration zero \
-                 instead of extending the previous rung's checkpoints. \
-                 Scores, kept sets and the winner are byte-identical \
-                 either way; this only forgoes the saved iterations \
-                 (and the checkpoint sidecars in the cache).")
-  in
-  let race_arg =
-    Arg.(value & flag & info [ "race" ]
-           ~doc:"Race each rung: evaluate at half the budget first and \
-                 stop candidates scoring worse than the keep-boundary by \
-                 more than $(b,--race-margin); survivors are always \
-                 confirmed at the full rung budget.")
-  in
-  let race_margin_arg =
-    Arg.(value & opt float 0.25 & info [ "race-margin" ] ~docv:"M"
-           ~doc:"Safety margin (in normalized objective units, >= 0) a \
-                 candidate must trail the keep-boundary by before \
-                 $(b,--race) stops it early.")
-  in
-  let close_threshold_arg =
-    Arg.(value & opt float 0. & info [ "close-threshold" ] ~docv:"T"
-           ~doc:"Widen a rung's keep-set to every candidate scoring \
-                 within $(docv) (normalized objective units, >= 0) of \
-                 the last canonically-kept one; 0 keeps exactly \
-                 ceil(n/eta).")
-  in
   let run workload file max_clocks constraints iterations seed jobs cache_dir
-      no_cache json stats_json smoke eta min_iterations objective no_resume
-      race race_margin close_threshold trace trace_summary =
+      no_cache json stats_json smoke eta min_iterations objective trace
+      trace_summary =
     require_at_least ~what:"--eta" ~min:2 eta;
-    if race_margin < 0. then or_die (Error "--race-margin must be >= 0");
-    if close_threshold < 0. then
-      or_die (Error "--close-threshold must be >= 0");
     Option.iter (require_positive ~what:"--iterations") iterations;
     Option.iter (require_positive ~what:"--min-iterations") min_iterations;
     Option.iter (require_positive ~what:"--max-clocks") max_clocks;
     Option.iter (require_positive ~what:"--jobs") jobs;
-    let workload =
-      match (workload, file, smoke) with
-      | None, None, true -> Some "facet"
-      | w, _, _ -> w
-    in
-    let max_clocks =
-      match max_clocks with Some n -> n | None -> if smoke then 2 else 4
-    in
-    let iterations =
-      match iterations with Some n -> n | None -> if smoke then 120 else 400
+    let workload, max_clocks, iterations =
+      smoke_defaults ~smoke ~workload ~file ~max_clocks ~iterations
     in
     Option.iter
       (fun m ->
@@ -847,12 +789,7 @@ let search_cmd =
     let no_winner =
       with_tracing ~name:"search" ~trace ~trace_summary @@ fun () ->
     let input = or_die (load ~workload ~file ~scheduler:`Annotated) in
-    let name =
-      match (workload, file) with
-      | Some n, _ -> n
-      | _, Some p -> Filename.remove_extension (Filename.basename p)
-      | None, None -> "design"
-    in
+    let name = design_name ~workload ~file in
     let sched_constraints = sched_constraints_of ~workload in
     let cache =
       if no_cache then None
@@ -861,8 +798,7 @@ let search_cmd =
     let result =
       Mclock_exec.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
           Mclock_explore.Halving.run ~pool ?cache ~eta ?min_iterations
-            ~constraints ~seed ~iterations ~max_clocks ~objective
-            ~resume:(not no_resume) ~race ~race_margin ~close_threshold ~name
+            ~constraints ~seed ~iterations ~max_clocks ~objective ~name
             ~sched_constraints input.graph)
     in
     Option.iter
@@ -886,16 +822,14 @@ let search_cmd =
              the scalarized objective, double down on the survivors until \
              one rung runs at full fidelity. Shares the persistent \
              evaluation cache with $(b,mclock explore); results are \
-             byte-identical across job counts and cache states. By \
-             default each rung resumes the survivors' simulations from \
-             the previous rung's checkpoints instead of restarting \
-             them (see $(b,--no-resume), $(b,--race)).")
+             byte-identical across job counts and cache states. Each \
+             rung resumes the survivors' simulations from the previous \
+             rung's checkpoints instead of restarting them.")
     Term.(
       const run $ workload_arg $ file_arg $ max_clocks_arg $ constraint_arg
       $ explore_iterations_arg $ seed_arg $ jobs_arg $ cache_dir_arg
       $ no_cache_arg $ json_arg $ stats_json_arg $ smoke_arg $ eta_arg
-      $ min_iterations_arg $ objective_arg $ no_resume_arg $ race_arg
-      $ race_margin_arg $ close_threshold_arg $ trace_arg $ trace_summary_arg)
+      $ min_iterations_arg $ objective_arg $ trace_arg $ trace_summary_arg)
 
 (* --- estimate ------------------------------------------------------------ *)
 
@@ -920,12 +854,7 @@ let estimate_cmd =
       compare =
     let input = or_die (load ~workload ~file ~scheduler) in
     let m = method_of (method_, clocks) in
-    let name =
-      match (workload, file) with
-      | Some n, _ -> n
-      | _, Some p -> Filename.remove_extension (Filename.basename p)
-      | None, None -> "design"
-    in
+    let name = design_name ~workload ~file in
     let stimulus = or_die (Mclock_static.Stim.parse stimulus) in
     let design = Mclock_core.Flow.synthesize ~method_:m ~name input.schedule in
     let analysis =

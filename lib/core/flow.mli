@@ -28,6 +28,7 @@ exception
 val synthesize :
   ?params:params ->
   ?lint:bool ->
+  ?transfers:bool ->
   method_:method_ ->
   name:string ->
   Schedule.t ->
@@ -35,7 +36,10 @@ val synthesize :
 (** Allocates, then runs the full lint rule set over the result and
     raises {!Lint_failed} on error diagnostics.  [lint:false] (default
     [true]) skips the gate for callers that collect diagnostics
-    themselves. *)
+    themselves.  [transfers:false] (default [true]) is the integrated
+    method's ablation: it allocates without cross-partition transfer
+    insertion, and the gate waives MC006, which that design violates
+    on purpose.  The other methods ignore it. *)
 
 val standard_suite :
   ?params:params -> name:string -> Schedule.t -> (method_ * Mclock_rtl.Design.t) list

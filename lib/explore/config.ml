@@ -111,29 +111,9 @@ let flow_method c =
   | Split -> Mclock_core.Flow.Split c.clocks
 
 let synthesize ?(tech = Mclock_tech.Cmos08.t) ?(width = 4) c ~name schedule =
-  match c.alloc with
-  | Integrated when not c.transfers ->
-      (* Flow.synthesize has no transfers knob; go through the
-         allocator directly, keeping the same lint-on-exit contract
-         minus MC006 (which the ablation intentionally violates). *)
-      let design =
-        (Mclock_core.Integrated.run
-           ~params:{ Mclock_core.Integrated.tech; width }
-           ~transfers:false ~n:c.clocks ~name schedule)
-          .Mclock_core.Integrated.design
-      in
-      let errors =
-        List.filter
-          (fun d -> d.Mclock_lint.Diagnostic.code <> "MC006")
-          (Mclock_lint.Diagnostic.errors (Mclock_lint.Lint.design design))
-      in
-      if errors <> [] then
-        raise (Mclock_core.Flow.Lint_failed { design; diagnostics = errors });
-      design
-  | Conventional | Gated | Integrated | Split ->
-      Mclock_core.Flow.synthesize
-        ~params:{ Mclock_core.Flow.tech; width }
-        ~method_:(flow_method c) ~name schedule
+  Mclock_core.Flow.synthesize
+    ~params:{ Mclock_core.Flow.tech; width }
+    ~transfers:c.transfers ~method_:(flow_method c) ~name schedule
 
 let fingerprint fp c =
   let open Mclock_util.Fingerprint in

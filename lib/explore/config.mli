@@ -65,8 +65,7 @@ val synthesize :
   name:string ->
   Mclock_sched.Schedule.t ->
   Mclock_rtl.Design.t
-(** Synthesize (and lint) the configuration's design, including the
-    transfer-ablation arm that {!Mclock_core.Flow.synthesize} does not
-    expose. *)
+(** Synthesize (and lint) the configuration's design through
+    {!Mclock_core.Flow.synthesize}, the transfer ablation included. *)
 
 val fingerprint : Mclock_util.Fingerprint.t -> t -> unit

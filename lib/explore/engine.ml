@@ -22,9 +22,6 @@
 
 type status =
   | Pruned of Metrics.constraint_ list
-  | Skipped of float
-      (** estimate-first mode ranked this cell below the [top_k]
-          cutoff; carries its static power estimate [mW] *)
   | Cached of Metrics.t
   | Simulated of Metrics.t
 
@@ -42,7 +39,6 @@ type stats = {
   cache_hits : int;
   cache_misses : int;
   simulated : int;
-  skipped : int;  (** misses left unsimulated by the [top_k] cutoff *)
   store_failures : int;
 }
 
@@ -292,11 +288,7 @@ let evaluate_at ~pool ?cache ?(resume_from = []) ?(checkpoints = false) ~seed
     } )
 
 let explore ~pool ?cache ?(constraints = []) ?(seed = 42) ?(iterations = 400)
-    ?(max_clocks = 4) ?tech ?width ?(estimate_first = false) ?top_k ~name
-    ~sched_constraints graph =
-  (match top_k with
-  | Some k when k < 1 -> invalid_arg "Engine.explore: top_k >= 1"
-  | _ -> ());
+    ?(max_clocks = 4) ?tech ?width ~name ~sched_constraints graph =
   Mclock_obs.Obs.with_span ~cat:"explore" ~name:"explore"
     ~attrs:
       [
@@ -305,7 +297,6 @@ let explore ~pool ?cache ?(constraints = []) ?(seed = 42) ?(iterations = 400)
         ("iterations", string_of_int iterations);
       ]
   @@ fun () ->
-  let estimate_first = estimate_first || top_k <> None in
   (* Counters accumulate across runs sharing a store (e.g. a cold/warm
      pair); snapshot so this result reports only its own failures. *)
   let store_failures_before =
@@ -338,42 +329,15 @@ let explore ~pool ?cache ?(constraints = []) ?(seed = 42) ?(iterations = 400)
       (function p, key, `Miss -> Some (p, key) | _ -> None)
       cells_pre
   in
-  (* Estimate-first: rank the misses by static expected power
-     (ascending, enumeration order breaking ties) so the most
-     promising cells simulate first and a [top_k] cutoff is
-     well-defined.  Everything here is deterministic, so the
-     simulation set — and with it the frontier — is jobs- and
-     cache-state-invariant. *)
-  let indexed_misses =
-    if not estimate_first then
-      List.mapi (fun i m -> (i, None, m)) misses
-    else
-      List.mapi
-        (fun i ((p, _key) as m) -> (i, Some p.p_est_power_mw, m))
-        misses
-      |> List.stable_sort (fun (i, ea, _) (j, eb, _) ->
-             match Option.compare Float.compare ea eb with
-             | 0 -> Stdlib.compare i j
-             | c -> c)
-  in
-  let selected, cut =
-    match top_k with
-    | None -> (indexed_misses, [])
-    | Some k ->
-        List.partition
-          (fun (rank, _) -> rank < k)
-          (List.mapi (fun rank m -> (rank, m)) indexed_misses)
-        |> fun (a, b) -> (List.map snd a, List.map snd b)
-  in
-  (* Fan the selected misses out; submission order is the (ranked)
-     selection order, so the reduced list is jobs-invariant. *)
-  let selected_arr = Array.of_list selected in
+  (* Fan the misses out; submission order is enumeration order, so the
+     reduced list is jobs-invariant. *)
+  let misses_arr = Array.of_list misses in
   let fresh =
     Mclock_exec.Pool.map pool
       ~label:(fun i ->
-        let _, _, (p, _) = selected_arr.(i) in
+        let p, _ = misses_arr.(i) in
         Printf.sprintf "%s/%s" name p.p_label)
-      (fun _ (_, _, (p, key)) ->
+      (fun _ (p, key) ->
         Mclock_obs.Obs.with_span ~cat:"explore" ~name:"explore.simulate"
           ~attrs:
             [
@@ -389,32 +353,17 @@ let explore ~pool ?cache ?(constraints = []) ?(seed = 42) ?(iterations = 400)
         Metrics.of_report ~config:p.p_config ~tech
           ~latency_steps:(Mclock_rtl.Design.num_steps p.p_design)
           report)
-      selected
+      misses
   in
   (* Write-back on the submitting domain. *)
   (match cache with
   | None -> ()
   | Some store ->
       List.iter2
-        (fun (_, _, (_, key)) metrics -> Store.store store ~key metrics)
-        selected fresh);
+        (fun (_, key) metrics -> Store.store store ~key metrics)
+        misses fresh);
   (* Stitch results back into enumeration order. *)
-  let miss_status = Array.make (List.length misses) None in
-  List.iter2
-    (fun (i, _, _) m -> miss_status.(i) <- Some (Simulated m))
-    selected fresh;
-  List.iter
-    (fun (i, est, _) ->
-      match est with
-      | Some e -> miss_status.(i) <- Some (Skipped e)
-      | None -> assert false (* a cutoff implies estimate-first *))
-    cut;
-  let miss_counter = ref 0 in
-  let next_miss () =
-    let i = !miss_counter in
-    incr miss_counter;
-    match miss_status.(i) with Some st -> st | None -> assert false
-  in
+  let fresh_q = ref fresh in
   let cells =
     List.map
       (fun (p, key, tag) ->
@@ -422,7 +371,12 @@ let explore ~pool ?cache ?(constraints = []) ?(seed = 42) ?(iterations = 400)
           match tag with
           | `Pruned v -> Pruned v
           | `Hit m -> Cached m
-          | `Miss -> next_miss ()
+          | `Miss -> (
+              match !fresh_q with
+              | m :: rest ->
+                  fresh_q := rest;
+                  Simulated m
+              | [] -> assert false)
         in
         { config = p.p_config; cell_label = p.p_label; key; bounds = p.p_bounds; status })
       cells_pre
@@ -445,15 +399,13 @@ let explore ~pool ?cache ?(constraints = []) ?(seed = 42) ?(iterations = 400)
       (List.filter (fun c -> match c.status with Cached _ -> true | _ -> false) cells)
   in
   let n_misses = List.length misses in
-  let n_sim = List.length selected in
   let stats =
     {
       enumerated = List.length space.sp_cells;
       pruned = n_pruned;
       cache_hits = n_hits;
       cache_misses = n_misses;
-      simulated = n_sim;
-      skipped = n_misses - n_sim;
+      simulated = n_misses;
       store_failures =
         (match cache with
         | None -> 0
@@ -481,7 +433,6 @@ let status_cells result ~index cell =
         Printf.sprintf "violates %s"
           (String.concat ","
              (List.map Metrics.constraint_to_string v)) )
-  | Skipped est -> ("skipped", Printf.sprintf "est %.2f mW, below top-k" est)
   | Cached m | Simulated m ->
       let provenance =
         match cell.status with Cached _ -> "cache" | _ -> "sim"
@@ -522,11 +473,6 @@ let render_text result =
               Printf.sprintf "%.0f" cell.bounds.Metrics.b_area,
               string_of_int cell.bounds.Metrics.b_latency_steps,
               string_of_int cell.bounds.Metrics.b_memory_cells )
-        | Skipped est ->
-            ( Printf.sprintf "~%.2f" est,
-              Printf.sprintf "%.0f" cell.bounds.Metrics.b_area,
-              string_of_int cell.bounds.Metrics.b_latency_steps,
-              string_of_int cell.bounds.Metrics.b_memory_cells )
         | Cached m | Simulated m ->
             ( Printf.sprintf "%.2f" m.Metrics.power_mw,
               Printf.sprintf "%.0f" m.Metrics.area,
@@ -541,11 +487,8 @@ let render_text result =
   let s = result.stats in
   Buffer.add_string buf
     (Printf.sprintf
-       "cells: %d enumerated, %d pruned, %d cache hits, %d simulated%s%s\n"
+       "cells: %d enumerated, %d pruned, %d cache hits, %d simulated%s\n"
        s.enumerated s.pruned s.cache_hits s.simulated
-       (if s.skipped > 0 then
-          Printf.sprintf ", %d skipped (top-k)" s.skipped
-        else "")
        (if s.store_failures > 0 then
           Printf.sprintf " (%d cache store failures)" s.store_failures
         else ""));
@@ -634,6 +577,5 @@ let stats_json result =
       ("cache_hits", Mclock_util.Json.Int s.cache_hits);
       ("cache_misses", Mclock_util.Json.Int s.cache_misses);
       ("simulated", Mclock_util.Json.Int s.simulated);
-      ("skipped", Mclock_util.Json.Int s.skipped);
       ("store_failures", Mclock_util.Json.Int s.store_failures);
     ]

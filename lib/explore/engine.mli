@@ -12,9 +12,6 @@
 type status =
   | Pruned of Metrics.constraint_ list
       (** rejected by pre-simulation bounds; never simulated *)
-  | Skipped of float
-      (** estimate-first mode ranked this cell below the [top_k]
-          cutoff; carries its static power estimate [mW] *)
   | Cached of Metrics.t  (** served from the persistent store *)
   | Simulated of Metrics.t  (** freshly evaluated this run *)
 
@@ -32,7 +29,6 @@ type stats = {
   cache_hits : int;
   cache_misses : int;
   simulated : int;
-  skipped : int;  (** misses left unsimulated by the [top_k] cutoff *)
   store_failures : int;
 }
 
@@ -137,8 +133,6 @@ val explore :
   ?max_clocks:int ->
   ?tech:Mclock_tech.Library.t ->
   ?width:int ->
-  ?estimate_first:bool ->
-  ?top_k:int ->
   name:string ->
   sched_constraints:Mclock_sched.List_sched.constraints ->
   Mclock_dfg.Graph.t ->
@@ -146,15 +140,8 @@ val explore :
 (** Defaults: no cache, no constraints, seed 42, 400 iterations,
     max_clocks 4, the CMOS08 library, width 4.  [sched_constraints]
     bound the list scheduler (a workload's [constraints] field; pass
-    [[]] for unconstrained).
-
-    [estimate_first] ranks the cache misses by static expected power
-    (ascending) before simulating, so the most promising cells
-    evaluate first; [top_k k] (implies [estimate_first]) additionally
-    simulates only the [k] best-ranked misses, marking the rest
-    {!Skipped}.  The ranking is deterministic, so the simulated set —
-    and the frontier over it — remains jobs- and
-    cache-state-invariant.  Raises [Invalid_argument] on [top_k < 1]. *)
+    [[]] for unconstrained).  Cache misses simulate in enumeration
+    order. *)
 
 val render_text : result -> string
 (** Cell-by-cell table (status, cache provenance, metrics) plus the

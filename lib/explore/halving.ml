@@ -29,7 +29,6 @@ type candidate = {
   c_config : Config.t;
   c_metrics : Metrics.t;
   c_score : float;
-  c_raced_at : int option;
 }
 
 type rung = {
@@ -47,7 +46,6 @@ type stats = {
   resumed : int;
   resumed_iterations : int;
   checkpoints_written : int;
-  raced_out : int;
 }
 
 type result = {
@@ -60,9 +58,6 @@ type result = {
   objective : Objective.t;
   constraints : Metrics.constraint_ list;
   resume : bool;
-  race : bool;
-  race_margin : float;
-  close_threshold : float;
   degenerate : string option;
   enumerated : int;
   pruned : int;
@@ -100,40 +95,21 @@ let score_rung objective survivors metrics =
         c_config = p.Engine.p_config;
         c_metrics = m;
         c_score = score;
-        c_raced_at = None;
       })
     pairs
 
-(* Adaptive keep width.  The canonical keep-set is the best
-   [ceil (field / eta)] functional candidates; when the next scores
-   are within [close_threshold] of the last canonically-kept one, the
-   small-budget rung cannot reliably separate them, so the set widens
-   to include every candidate with score strictly below
-   [boundary + close_threshold].  At the default threshold 0 this is
-   exactly the canonical rule (a score is never strictly below
-   itself), pinning backwards compatibility.  [scores] are the rung's
+(* The keep width: the best [ceil (field / eta)] functional candidates,
+   or all of them when fewer survive.  [scores] are the rung's
    functional scores in ascending order. *)
-let keep_width ~eta ~close_threshold ~field scores =
-  let base = max 1 ((field + eta - 1) / eta) in
-  match List.nth_opt scores (base - 1) with
-  | None -> List.length scores
-  | Some boundary ->
-      let widened =
-        List.length
-          (List.filter (fun s -> s -. boundary < close_threshold) scores)
-      in
-      max base widened
+let keep_width ~eta ~field scores =
+  min (max 1 ((field + eta - 1) / eta)) (List.length scores)
 
 let run ~pool ?cache ?(eta = 2) ?min_iterations ?(constraints = [])
     ?(seed = 42) ?(iterations = 400) ?(max_clocks = 4) ?tech ?width
-    ?(objective = Objective.default) ?(resume = true) ?(race = false)
-    ?(race_margin = 0.25) ?(close_threshold = 0.) ~name ~sched_constraints
+    ?(objective = Objective.default) ?(resume = true) ~name ~sched_constraints
     graph =
   if eta < 2 then invalid_arg "Halving.run: eta >= 2";
   if iterations < 1 then invalid_arg "Halving.run: iterations >= 1";
-  if not (race_margin >= 0.) then invalid_arg "Halving.run: race_margin >= 0";
-  if not (close_threshold >= 0.) then
-    invalid_arg "Halving.run: close_threshold >= 0";
   let min_iterations =
     match min_iterations with
     | None -> max 1 (iterations / 16)
@@ -171,9 +147,9 @@ let run ~pool ?cache ?(eta = 2) ?min_iterations ?(constraints = [])
         Metrics.admissible ~constraints p.Engine.p_bounds)
       space.Engine.sp_cells
   in
-  (* The seed pool, cheapest static power estimate first — the same
-     ranking estimate-first exploration uses, so the small-budget rungs
-     spend their work on the statically promising region. *)
+  (* The seed pool, cheapest static power estimate first, so the
+     small-budget rungs spend their work on the statically promising
+     region. *)
   let seed_pool =
     List.stable_sort
       (fun (a : Engine.prepared) (b : Engine.prepared) ->
@@ -191,7 +167,6 @@ let run ~pool ?cache ?(eta = 2) ?min_iterations ?(constraints = [])
   let resumed = ref 0 in
   let resumed_iters = ref 0 in
   let ckpts = ref 0 in
-  let raced_out = ref 0 in
   let eval_iters = ref 0 in
   let past = ref [] in
   let eval ~budget survivors =
@@ -237,67 +212,11 @@ let run ~pool ?cache ?(eta = 2) ?min_iterations ?(constraints = [])
           ]
         ()
     in
-    let base_keep = max 1 ((n + eta - 1) / eta) in
-    (* Racing: evaluate everyone at half the rung budget first; a
-       candidate scoring worse than the keep-boundary by more than
-       [race_margin] cannot plausibly close the gap, so it is raced
-       out and never pays the full rung.  Survivors of the race are
-       always confirmed at the full rung budget — the keep decision
-       (and the winner) only ever reads full-budget scores. *)
-    let mid = budget / 2 in
-    let do_race = race && n > 1 && mid > prev_budget && mid < budget in
-    let raced, continue_set, race_base =
-      if not do_race then ([], survivors, prev_budget)
-      else begin
-        let mid_metrics = eval ~budget:mid survivors in
-        charge ~n ~prev:prev_budget ~budget:mid;
-        let mid_ranked = rank (score_rung objective survivors mid_metrics) in
-        let mid_functional =
-          List.filter (fun c -> c.c_score < infinity) mid_ranked
-        in
-        match List.nth_opt mid_functional (base_keep - 1) with
-        | None -> ([], survivors, mid)
-        | Some boundary_c ->
-            let boundary = boundary_c.c_score in
-            let raced_tbl = Hashtbl.create 16 in
-            List.iter
-              (fun c ->
-                if c.c_score > boundary +. race_margin then
-                  Hashtbl.replace raced_tbl c.c_index
-                    { c with c_raced_at = Some mid })
-              mid_ranked;
-            let continue_set =
-              List.filter
-                (fun (p : Engine.prepared) ->
-                  not (Hashtbl.mem raced_tbl p.Engine.p_index))
-                survivors
-            in
-            let raced =
-              List.filter_map
-                (fun (p : Engine.prepared) ->
-                  Hashtbl.find_opt raced_tbl p.Engine.p_index)
-                survivors
-            in
-            raced_out := !raced_out + List.length raced;
-            (raced, continue_set, mid)
-      end
-    in
-    let metrics = eval ~budget continue_set in
-    charge ~n:(List.length continue_set) ~prev:race_base ~budget;
-    let full_candidates = score_rung objective continue_set metrics in
-    (* The rung's candidate list keeps survivor (evaluation) order;
-       raced-out candidates carry their half-budget metrics and score. *)
-    let cand_tbl = Hashtbl.create 16 in
-    List.iter
-      (fun c -> Hashtbl.replace cand_tbl c.c_index c)
-      (full_candidates @ raced);
-    let candidates =
-      List.map
-        (fun (p : Engine.prepared) -> Hashtbl.find cand_tbl p.Engine.p_index)
-        survivors
-    in
+    let metrics = eval ~budget survivors in
+    charge ~n ~prev:prev_budget ~budget;
+    let candidates = score_rung objective survivors metrics in
     let functional_ranked =
-      List.filter (fun c -> c.c_score < infinity) (rank full_candidates)
+      List.filter (fun c -> c.c_score < infinity) (rank candidates)
     in
     if budget >= iterations then
       (* The full-fidelity rung: its best functional candidate is the
@@ -319,7 +238,7 @@ let run ~pool ?cache ?(eta = 2) ?min_iterations ?(constraints = [])
       (List.rev (r :: rungs_acc), winner)
     else
       let kept_n =
-        keep_width ~eta ~close_threshold ~field:n
+        keep_width ~eta ~field:n
           (List.map (fun c -> c.c_score) functional_ranked)
       in
       let kept = List.filteri (fun i _ -> i < kept_n) functional_ranked in
@@ -367,9 +286,6 @@ let run ~pool ?cache ?(eta = 2) ?min_iterations ?(constraints = [])
     objective;
     constraints;
     resume;
-    race;
-    race_margin;
-    close_threshold;
     degenerate;
     enumerated = List.length space.Engine.sp_cells;
     pruned = List.length rejected;
@@ -391,7 +307,6 @@ let run ~pool ?cache ?(eta = 2) ?min_iterations ?(constraints = [])
         resumed = !resumed;
         resumed_iterations = !resumed_iters;
         checkpoints_written = !ckpts;
-        raced_out = !raced_out;
       };
   }
 
@@ -433,12 +348,9 @@ let render_text result =
         (fun c ->
           let m = c.c_metrics in
           let verdict =
-            match c.c_raced_at with
-            | Some mid -> Printf.sprintf "raced out @ %d" mid
-            | None ->
-                if not m.Metrics.functional_ok then "FUNCTIONAL FAIL"
-                else if is_kept c.c_label then "kept"
-                else "dropped"
+            if not m.Metrics.functional_ok then "FUNCTIONAL FAIL"
+            else if is_kept c.c_label then "kept"
+            else "dropped"
           in
           Mclock_util.Table.add_row table
             [
@@ -484,10 +396,7 @@ let candidate_json c =
       ( "energy_per_computation_pj",
         Mclock_util.Json.Float m.Metrics.energy_per_computation_pj );
       ("memory_cells", Mclock_util.Json.Int m.Metrics.memory_cells);
-      ( "raced_at",
-        match c.c_raced_at with
-        | Some mid -> Mclock_util.Json.Int mid
-        | None -> Mclock_util.Json.Null );
+      ("raced_at", Mclock_util.Json.Null);
     ]
 
 let rung_json r =
@@ -519,9 +428,13 @@ let result_json result =
              (fun c -> Mclock_util.Json.String (Metrics.constraint_to_string c))
              result.constraints) );
       ("resume", Mclock_util.Json.Bool result.resume);
-      ("race", Mclock_util.Json.Bool result.race);
-      ("race_margin", Mclock_util.Json.Float result.race_margin);
-      ("close_threshold", Mclock_util.Json.Float result.close_threshold);
+      (* Fixed values of options the search no longer has.  They stay
+         so that the document's bytes, and the digest the benchmark
+         pins, do not move; they go at that digest's next re-pin, as
+         does [raced_at] in [candidate_json]. *)
+      ("race", Mclock_util.Json.Bool false);
+      ("race_margin", Mclock_util.Json.Float 0.25);
+      ("close_threshold", Mclock_util.Json.Float 0.);
       ( "degenerate",
         match result.degenerate with
         | Some msg -> Mclock_util.Json.String msg
@@ -551,5 +464,4 @@ let stats_json result =
       ("resumed", Mclock_util.Json.Int s.resumed);
       ("resumed_iterations", Mclock_util.Json.Int s.resumed_iterations);
       ("checkpoints_written", Mclock_util.Json.Int s.checkpoints_written);
-      ("raced_out", Mclock_util.Json.Int s.raced_out);
     ]

@@ -32,10 +32,6 @@ type candidate = {
   c_score : float;
       (** scalarized objective over the rung's functional candidates;
           [infinity] for a functionally-failed candidate *)
-  c_raced_at : int option;
-      (** [Some mid] when racing stopped this candidate at the
-          half-budget checkpoint [mid]; its metrics and score are the
-          half-budget ones, and it was never kept *)
 }
 
 type rung = {
@@ -58,7 +54,6 @@ type stats = {
   resumed_iterations : int;
       (** iterations *not* re-simulated thanks to checkpoints *)
   checkpoints_written : int;
-  raced_out : int;  (** candidates stopped at a half-budget race *)
 }
 
 type result = {
@@ -71,9 +66,6 @@ type result = {
   objective : Objective.t;
   constraints : Metrics.constraint_ list;
   resume : bool;
-  race : bool;
-  race_margin : float;
-  close_threshold : float;
   degenerate : string option;
       (** a human-readable warning when the parameters collapse the
           rung schedule to a single full-fidelity rung (multi-fidelity
@@ -108,17 +100,13 @@ val run :
   ?width:int ->
   ?objective:Objective.t ->
   ?resume:bool ->
-  ?race:bool ->
-  ?race_margin:float ->
-  ?close_threshold:float ->
   name:string ->
   sched_constraints:Mclock_sched.List_sched.constraints ->
   Mclock_dfg.Graph.t ->
   result
 (** Defaults: eta 2, min_iterations [max 1 (iterations / 16)], no
     constraints, seed 42, 400 iterations, max_clocks 4, the CMOS08
-    library, width 4, {!Objective.default} (pure power), resume on,
-    racing off, race_margin 0.25, close_threshold 0.
+    library, width 4, {!Objective.default} (pure power), resume on.
 
     [resume] makes promotion incremental: each rung stores simulation
     checkpoints (sidecars in the [cache]) and the next rung extends
@@ -128,29 +116,13 @@ val run :
     kept set, the winner and the rendered documents are unchanged —
     only the simulated-iteration count drops.  Inert without a cache.
 
-    [race] additionally evaluates each rung at half its budget first
-    and stops ("races out") candidates scoring worse than the
-    keep-boundary by more than [race_margin] (in normalized objective
-    units); the rest are always confirmed at the full rung budget,
-    which is all the keep rule and the winner ever read.  A raced-out
-    candidate could in principle have recovered in the second half —
-    the margin makes that unlikely, not impossible, which is why
-    racing is opt-in.
+    Raises [Invalid_argument] on [eta < 2], [iterations < 1] or
+    [min_iterations] outside [1..iterations]. *)
 
-    [close_threshold] widens a rung's keep-set beyond
-    [ceil (n / eta)] to include every candidate scoring within the
-    threshold of the last canonically-kept one (the rung evidence
-    cannot separate them); 0 keeps the canonical rule exactly.
-
-    Raises [Invalid_argument] on [eta < 2], [iterations < 1],
-    [min_iterations] outside [1..iterations], or a negative
-    [race_margin] / [close_threshold]. *)
-
-val keep_width : eta:int -> close_threshold:float -> field:int -> float list -> int
-(** The adaptive keep rule, exposed pure for tests: how many of the
-    ascending functional [scores] of a rung with [field] total
-    candidates survive.  At [close_threshold = 0] this is exactly
-    [min (max 1 (ceil (field / eta))) (length scores)]. *)
+val keep_width : eta:int -> field:int -> float list -> int
+(** The keep rule, exposed pure for tests: how many of the ascending
+    functional [scores] of a rung with [field] total candidates
+    survive, [min (max 1 (ceil (field / eta))) (length scores)]. *)
 
 val render_text : result -> string
 (** Rung-by-rung tables (candidate, score, metrics, keep verdict) plus

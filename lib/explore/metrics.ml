@@ -44,9 +44,9 @@ let scaled_power_factor tech ~copies =
   v /. vdd *. (v /. vdd)
 
 (* One static analysis yields both the certified bounds (for pruning)
-   and the expected-power estimate (the ranking key for estimate-first
-   exploration and the halving seed pool); computing them together
-   halves the analyzer invocations per cell. *)
+   and the expected-power estimate (the halving seed pool's ranking
+   key); computing them together halves the analyzer invocations per
+   cell. *)
 let bounds_and_estimate_of_design ~config ~iterations tech design =
   let area =
     (Mclock_power.Area.of_design tech design).Mclock_power.Area.design_total
@@ -83,14 +83,6 @@ let bounds_and_estimate_of_design ~config ~iterations tech design =
 let bounds_of_design ~config ~iterations tech design =
   let b, _, _ = bounds_and_estimate_of_design ~config ~iterations tech design in
   b
-
-(* Static expected power/energy of a cell, through the same scaling
-   transform as [of_report] — the estimate-first ranking key. *)
-let estimate_of_design ~config ~iterations tech design =
-  let _, est_power, est_energy =
-    bounds_and_estimate_of_design ~config ~iterations tech design
-  in
-  (est_power, est_energy)
 
 let of_report ~config ~tech ~latency_steps (r : Mclock_power.Report.t) =
   let base =
@@ -174,12 +166,21 @@ let parse_constraint s =
             area<=12000)"
            s)
 
+(* [%g] (that is [%.6g]) when it reads back exactly, else the fewest
+   digits that do. *)
+let exact_float f =
+  let rec go precision =
+    let s = Printf.sprintf "%.*g" precision f in
+    if precision >= 17 || float_of_string s = f then s else go (precision + 1)
+  in
+  go 6
+
 let constraint_to_string = function
-  | Max_area f -> Printf.sprintf "area<=%g" f
+  | Max_area f -> "area<=" ^ exact_float f
   | Max_latency i -> Printf.sprintf "latency<=%d" i
   | Max_memory i -> Printf.sprintf "mem<=%d" i
-  | Max_power f -> Printf.sprintf "power<=%g" f
-  | Max_energy f -> Printf.sprintf "energy<=%g" f
+  | Max_power f -> "power<=" ^ exact_float f
+  | Max_energy f -> "energy<=" ^ exact_float f
 
 let satisfies b = function
   | Max_area f -> b.b_area <= f

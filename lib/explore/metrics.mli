@@ -36,9 +36,8 @@ val bounds_and_estimate_of_design :
   bounds * float * float
 (** [(bounds, est_power_mw, est_energy_pj)] from one static analysis:
     the certified pruning bounds plus the expected-power estimate used
-    as the ranking key (estimate-first exploration, halving seed
-    pool), all through the [Scaled] transform when the configuration
-    asks for it. *)
+    as the halving seed pool's ranking key, all through the [Scaled]
+    transform when the configuration asks for it. *)
 
 val bounds_of_design :
   config:Config.t ->
@@ -52,16 +51,6 @@ val bounds_of_design :
     matching what evaluation reports.  [iterations] must match the
     evaluation's computation count (the reset transient amortizes over
     it). *)
-
-val estimate_of_design :
-  config:Config.t ->
-  iterations:int ->
-  Mclock_tech.Library.t ->
-  Mclock_rtl.Design.t ->
-  float * float
-(** Static expected [(power_mw, energy_pj)] of a cell, through the
-    same scaling transform as {!of_report} — the estimate-first
-    ranking key. *)
 
 val of_report :
   config:Config.t ->
@@ -85,7 +74,12 @@ val parse_constraint : string -> (constraint_, string) result
 (** ["area<=12000"], ["latency<=6"], ["mem<=40"], ["power<=4.5"],
     ["energy<=900"]. *)
 
+val exact_float : float -> string
+(** [%g] when that reads back as the same float, otherwise the
+    shortest [%.Ng] that does. *)
+
 val constraint_to_string : constraint_ -> string
+(** Reads back through {!parse_constraint} as the same constraint. *)
 
 val admissible : constraints:constraint_ list -> bounds -> bool
 (** Whether a cell survives pruning. *)

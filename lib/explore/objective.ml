@@ -119,10 +119,13 @@ let to_string t =
   match nonzero with
   | [ (m, 1.) ] -> metric_name m
   | terms ->
+      (* [parse] splits terms on '+', so an exponent loses its sign:
+         1e+07 prints as 1e07. *)
+      let weight w =
+        String.concat "" (String.split_on_char '+' (Metrics.exact_float w))
+      in
       String.concat "+"
-        (List.map
-           (fun (m, w) -> Printf.sprintf "%g*%s" w (metric_name m))
-           terms)
+        (List.map (fun (m, w) -> weight w ^ "*" ^ metric_name m) terms)
 
 let equal a b = Array.for_all2 Float.equal a.weights b.weights
 

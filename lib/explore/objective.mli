@@ -44,9 +44,7 @@ val parse : string -> (t, string) result
     list of valid metrics. *)
 
 val to_string : t -> string
-(** Canonical rendering; [parse (to_string t)] reproduces [t] for any
-    [t] whose weights survive ["%g"] formatting (all parseable inputs
-    do). *)
+(** Canonical rendering; [parse (to_string t)] reproduces [t]. *)
 
 val equal : t -> t -> bool
 

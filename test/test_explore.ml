@@ -40,12 +40,11 @@ let smoke_constraints = smoke_workload.Mclock_workloads.Workload.constraints
 
 let with_pool ?(jobs = 1) f = Mclock_exec.Pool.with_pool ~jobs f
 
-let explore ?cache ?constraints ?(jobs = 1) ?(max_clocks = 2) ?estimate_first
-    ?top_k () =
+let explore ?cache ?constraints ?(jobs = 1) ?(max_clocks = 2) () =
   with_pool ~jobs (fun pool ->
       Engine.explore ~pool ?cache ?constraints ~seed:42 ~iterations:60
-        ~max_clocks ?estimate_first ?top_k ~name:"facet"
-        ~sched_constraints:smoke_constraints smoke_graph)
+        ~max_clocks ~name:"facet" ~sched_constraints:smoke_constraints
+        smoke_graph)
 
 let sample_metrics =
   {
@@ -206,6 +205,8 @@ let test_constraint_to_string_roundtrip () =
       Metrics.Max_memory 40;
       Metrics.Max_power 4.5;
       Metrics.Max_energy 900.;
+      Metrics.Max_area 1234567.;
+      Metrics.Max_power 1.2345678;
     ]
 
 (* --- Store failure modes ----------------------------------------------- *)
@@ -617,7 +618,6 @@ let test_engine_power_pruning_differential () =
             true should_prune;
           check Alcotest.bool "violation names the power cap" true
             (List.mem (Metrics.Max_power cap) v)
-      | Engine.Skipped _ -> fail "no top-k in this run"
       | Engine.Cached m | Engine.Simulated m ->
           check Alcotest.bool
             (Printf.sprintf "%s kept only within cap" c.Engine.cell_label)
@@ -649,65 +649,6 @@ let test_engine_power_pruning_differential () =
         | None -> fail (Printf.sprintf "%s lost by power pruning" p.Pareto.label))
     unconstrained.Engine.pareto.Pareto.frontier
 
-let test_engine_estimate_first_invariant () =
-  (* Ranking the misses by static estimate changes only the submission
-     order; the cells and frontier must be byte-identical to the plain
-     enumeration-order run. *)
-  let plain = explore () in
-  let ranked = explore ~estimate_first:true () in
-  check Alcotest.int "same simulated count"
-    plain.Engine.stats.Engine.simulated ranked.Engine.stats.Engine.simulated;
-  check Alcotest.int "nothing skipped" 0 ranked.Engine.stats.Engine.skipped;
-  List.iter2
-    (fun (a : Engine.cell) (b : Engine.cell) ->
-      check Alcotest.string "label" a.Engine.cell_label b.Engine.cell_label;
-      match (a.Engine.status, b.Engine.status) with
-      | Engine.Simulated m, Engine.Simulated m' ->
-          if not (Metrics.equal m m') then fail "metrics differ under ranking"
-      | Engine.Pruned _, Engine.Pruned _ -> ()
-      | _ -> fail "status changed under ranking")
-    plain.Engine.cells ranked.Engine.cells;
-  check Alcotest.string "frontier identical"
-    (String.concat ","
-       (List.map (fun p -> p.Pareto.label) plain.Engine.pareto.Pareto.frontier))
-    (String.concat ","
-       (List.map (fun p -> p.Pareto.label) ranked.Engine.pareto.Pareto.frontier))
-
-let test_engine_top_k_cutoff () =
-  (* top_k simulates exactly the k best-ranked misses; the skipped
-     cells carry their static estimate, and every simulated cell's
-     estimate is <= every skipped cell's estimate. *)
-  let k = 3 in
-  let r = explore ~top_k:k () in
-  check Alcotest.int "simulated = k" k r.Engine.stats.Engine.simulated;
-  check Alcotest.int "skipped = misses - k"
-    (r.Engine.stats.Engine.cache_misses - k)
-    r.Engine.stats.Engine.skipped;
-  let skipped_estimates =
-    List.filter_map
-      (fun (c : Engine.cell) ->
-        match c.Engine.status with
-        | Engine.Skipped est -> Some est
-        | _ -> None)
-      r.Engine.cells
-  in
-  check Alcotest.int "skipped statuses match stats"
-    r.Engine.stats.Engine.skipped
-    (List.length skipped_estimates);
-  (* Rerunning with a cache: the k simulated cells become hits and the
-     next k misses get their turn. *)
-  let dir = temp_dir () in
-  let cache = Store.open_ ~dir () in
-  let warm1 = explore ~cache ~top_k:k () in
-  let warm2 = explore ~cache ~top_k:k () in
-  check Alcotest.int "second pass re-simulates k more" k
-    warm2.Engine.stats.Engine.simulated;
-  check Alcotest.int "second pass serves k hits" k
-    warm2.Engine.stats.Engine.cache_hits;
-  check Alcotest.int "first pass simulated k" k
-    warm1.Engine.stats.Engine.simulated;
-  rm_rf dir
-
 let test_engine_scaled_cells_consistent () =
   (* The pre-simulation bounds must equal the evaluated metrics for
      area and latency on every cell — including the Scaled transform —
@@ -716,7 +657,7 @@ let test_engine_scaled_cells_consistent () =
   List.iter
     (fun (c : Engine.cell) ->
       match c.Engine.status with
-      | Engine.Pruned _ | Engine.Skipped _ -> ()
+      | Engine.Pruned _ -> ()
       | Engine.Cached m | Engine.Simulated m ->
           if not (Float.equal c.Engine.bounds.Metrics.b_area m.Metrics.area)
           then fail (Printf.sprintf "%s: bound area differs" c.Engine.cell_label);
@@ -769,6 +710,58 @@ let test_engine_best_index_correspondence () =
           if not (Float.equal score expected_score) then
             fail "best score differs from the objective's")
 
+(* Misses are simulated in enumeration order and stitched back between
+   the cache hits: with every other entry gone, each cell must carry
+   its own metrics, in the same order as the cold run. *)
+let test_engine_partial_cache_stitches_in_order () =
+  let dir = temp_dir () in
+  let cache = Store.open_ ~dir () in
+  let cold = explore ~cache () in
+  let dropped =
+    List.filteri
+      (fun i (c : Engine.cell) ->
+        if i mod 2 = 0 then Sys.remove (Filename.concat dir (c.Engine.key ^ ".json"));
+        i mod 2 = 0)
+      cold.Engine.cells
+  in
+  let rerun = explore ~cache ~jobs:2 () in
+  check Alcotest.int "only the dropped cells simulated" (List.length dropped)
+    rerun.Engine.stats.Engine.simulated;
+  check Alcotest.int "the rest hit the cache"
+    (List.length cold.Engine.cells - List.length dropped)
+    rerun.Engine.stats.Engine.cache_hits;
+  List.iteri
+    (fun i ((a : Engine.cell), (b : Engine.cell)) ->
+      check Alcotest.string "cell order" a.Engine.cell_label b.Engine.cell_label;
+      match (a.Engine.status, b.Engine.status) with
+      | Engine.Simulated m, Engine.Simulated m' when i mod 2 = 0 ->
+          if not (Metrics.equal m m') then
+            fail (Printf.sprintf "%s: re-simulated metrics differ" a.Engine.cell_label)
+      | Engine.Simulated m, Engine.Cached m' when i mod 2 = 1 ->
+          if not (Metrics.equal m m') then
+            fail (Printf.sprintf "%s: cached metrics differ" a.Engine.cell_label)
+      | _ -> fail (Printf.sprintf "%s: unexpected status" a.Engine.cell_label))
+    (List.combine cold.Engine.cells rerun.Engine.cells);
+  check Alcotest.string "frontier byte-identical" (frontier_string cold)
+    (frontier_string rerun);
+  rm_rf dir
+
+(* [exact_float] reads back as the same float, and keeps [%g]'s bytes
+   wherever [%g] already did. *)
+let test_exact_float () =
+  List.iter
+    (fun f ->
+      let s = Metrics.exact_float f in
+      if not (Float.equal (float_of_string s) f) then
+        fail (Printf.sprintf "%h prints as %S, which reads back differently" f s);
+      let g = Printf.sprintf "%g" f in
+      if Float.equal (float_of_string g) f then
+        check Alcotest.string "same bytes as %g" g s)
+    [
+      0.; 1.; -2.5; 4.5; 12000.; 0.1; 1. /. 3.; 1234567.; 1.2345678; 1e7;
+      1e-7; 1e22; 5e-324; max_float; -.min_float;
+    ]
+
 let suite =
   [
     ("enumerate valid+unique", `Quick, test_enumerate_valid_and_unique);
@@ -800,8 +793,10 @@ let suite =
     ("engine corrupt cache recovers", `Quick, test_engine_corrupt_cache_recovers);
     ("engine pruning sound", `Quick, test_engine_pruning_sound);
     ("engine power pruning differential", `Quick, test_engine_power_pruning_differential);
-    ("engine estimate-first invariant", `Quick, test_engine_estimate_first_invariant);
-    ("engine top-k cutoff", `Quick, test_engine_top_k_cutoff);
     ("engine scaled cells consistent", `Quick, test_engine_scaled_cells_consistent);
     ("engine best index correspondence", `Quick, test_engine_best_index_correspondence);
+    ( "engine partial cache stitches in order",
+      `Quick,
+      test_engine_partial_cache_stitches_in_order );
+    ("exact_float reads back", `Quick, test_exact_float);
   ]

@@ -521,6 +521,52 @@ let test_json_pretty_equivalent () =
   | Ok a, Ok b -> check Alcotest.bool "pretty == compact" true (a = b)
   | _ -> fail "pretty output should parse"
 
+(* [Flow.synthesize ~transfers:false] is the integrated method's
+   ablation: the same design as the allocator run without transfers,
+   and its exit lint waives MC006 (which then fires) and nothing else. *)
+let test_flow_no_transfers_waives_mc006 () =
+  let fired = ref false in
+  List.iter
+    (fun w ->
+      let s = Mclock_workloads.Workload.schedule w in
+      List.iter
+        (fun n ->
+          let d =
+            Mclock_core.Flow.synthesize ~transfers:false
+              ~method_:(Mclock_core.Flow.Integrated n) ~name:"notr" s
+          in
+          let r =
+            Mclock_core.Integrated.run ~transfers:false ~n ~name:"notr" s
+          in
+          check Alcotest.string "same design as the allocator"
+            (Verilog.emit r.Mclock_core.Integrated.design)
+            (Verilog.emit d);
+          if count_code "MC006" (Lint.design d) > 0 then fired := true)
+        [ 2; 3 ])
+    Mclock_workloads.Catalog.all;
+  check Alcotest.bool "MC006 waived somewhere" true !fired
+
+(* The transfers switch belongs to the integrated method alone: every
+   other method allocates the same design either way. *)
+let test_flow_transfers_ignored_by_other_methods () =
+  List.iter
+    (fun w ->
+      let s = Mclock_workloads.Workload.schedule w in
+      List.iter
+        (fun m ->
+          let synth transfers =
+            Verilog.emit
+              (Mclock_core.Flow.synthesize ~transfers ~method_:m
+                 ~name:w.Mclock_workloads.Workload.name s)
+          in
+          check Alcotest.string
+            (Mclock_core.Flow.method_label m)
+            (synth true) (synth false))
+        (List.filter
+           (function Mclock_core.Flow.Integrated _ -> false | _ -> true)
+           all_methods))
+    Mclock_workloads.Catalog.all
+
 let suite =
   [
     ("MC002 off-phase load", `Quick, test_mc002_off_phase_load);
@@ -549,4 +595,8 @@ let suite =
     ("json diagnostics round-trip", `Quick, test_json_roundtrip_diagnostics);
     ("json parser basics", `Quick, test_json_parser_basics);
     ("json pretty equivalent", `Quick, test_json_pretty_equivalent);
+    ("flow no-transfers waives MC006", `Slow, test_flow_no_transfers_waives_mc006);
+    ( "flow transfers ignored by other methods",
+      `Quick,
+      test_flow_transfers_ignored_by_other_methods );
   ]

@@ -3,7 +3,8 @@
    non-overlap, partition arithmetic, schedulers, transfers, the full
    allocation flow on random scheduled DFGs, and the two decoders
    through which outside bytes enter the evaluation cache: the store's
-   entry decoder and the simulation checkpoint decoder. *)
+   entry decoder and the simulation checkpoint decoder, and the
+   constraint, objective and stimulus grammars. *)
 
 open Mclock_dfg
 module B = Mclock_util.Bitvec
@@ -365,9 +366,7 @@ let catalog_metrics =
             | Mclock_explore.Engine.Simulated m | Mclock_explore.Engine.Cached m
               ->
                 Some m
-            | Mclock_explore.Engine.Pruned _ | Mclock_explore.Engine.Skipped _
-              ->
-                None)
+            | Mclock_explore.Engine.Pruned _ -> None)
           r.Mclock_explore.Engine.cells))
 
 let catalog_cell =
@@ -569,6 +568,45 @@ let prop_json_escape_no_raw_controls =
       (not (String.exists (fun c -> Char.code c < 0x20) e))
       && String.length e >= String.length s + 2)
 
+(* --- Constraint, objective and stimulus grammars ----------------------------- *)
+
+(* Arbitrary bytes, plus concatenated grammar fragments so that a
+   string often parses a long way before it fails. *)
+let grammar_string =
+  let token =
+    Q.Gen.oneofl
+      [ "power"; "area"; "energy"; "mem"; "latency"; "uniform"; "constant";
+        "correlated"; "ramp"; "<="; "<"; "="; "*"; "+"; ":"; " "; "0"; "1";
+        "0.1234567"; "1e7"; "1e+400"; "-3"; "nan"; "inf";
+        "99999999999999999999" ]
+  in
+  Q.oneof
+    [
+      Q.string;
+      Q.make ~print:Fun.id
+        Q.Gen.(map (String.concat "") (list_size (int_bound 6) token));
+    ]
+
+(* Each parser answers Ok or Error and never raises; what parses
+   prints back to text that parses to the same value. *)
+let prop_grammars_total_and_roundtrip =
+  Q.Test.make
+    ~name:"constraint/objective/stimulus parsers: total, print round-trips"
+    ~count:1000 grammar_string (fun s ->
+      let module M = Mclock_explore.Metrics in
+      let module O = Mclock_explore.Objective in
+      (match M.parse_constraint s with
+      | Ok c -> M.parse_constraint (M.constraint_to_string c) = Ok c
+      | Error _ -> true)
+      && (match O.parse s with
+         | Ok t -> (
+             match O.parse (O.to_string t) with
+             | Ok t' -> O.equal t t'
+             | Error _ -> false)
+         | Error _ -> true)
+      &&
+      match Mclock_static.Stim.parse s with Ok _ | Error _ -> true)
+
 let suite =
   List.map to_alcotest
     [
@@ -615,4 +653,5 @@ let suite =
       prop_ckpt_decode_v1_magic;
       prop_ckpt_roundtrip_resumes;
       prop_ckpt_decode_resealed;
+      prop_grammars_total_and_roundtrip;
     ]

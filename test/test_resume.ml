@@ -7,8 +7,8 @@
    batch sizes.  On top of the kernel, the suite covers the sealed
    binary serialization (round-trip exactness, corruption degrading
    to a decode error), the store's checkpoint sidecars and GC, the
-   engine's resume-or-recompute fallback, and the search's
-   resume/racing/adaptive-eta determinism. *)
+   engine's resume-or-recompute fallback, and the search's resume
+   determinism and keep rule. *)
 
 open Mclock_core
 module B = Mclock_util.Bitvec
@@ -327,11 +327,10 @@ let smoke_workload = Mclock_workloads.Facet.t
 let smoke_graph = Mclock_workloads.Workload.graph smoke_workload
 let smoke_constraints = smoke_workload.Mclock_workloads.Workload.constraints
 
-let search ?cache ?(jobs = 1) ?min_iterations ?(iterations = 60) ?resume ?race
-    ?race_margin ?close_threshold () =
+let search ?cache ?(jobs = 1) ?min_iterations ?(iterations = 60) ?resume () =
   Mclock_exec.Pool.with_pool ~jobs (fun pool ->
       Halving.run ~pool ?cache ~eta:2 ?min_iterations ~seed:42 ~iterations
-        ~max_clocks:2 ?resume ?race ?race_margin ?close_threshold ~name:"facet"
+        ~max_clocks:2 ?resume ~name:"facet"
         ~sched_constraints:smoke_constraints smoke_graph)
 
 let doc r = Mclock_util.Json.to_string (Halving.result_json r)
@@ -484,82 +483,14 @@ let test_halving_resume_jobs_invariant () =
   let d4 = with_store (fun s -> doc (search ~cache:s ~jobs:4 ())) in
   check Alcotest.string "jobs=1 doc = jobs=4 doc" d1 d4
 
-(* Racing: dominated candidates stop at the half-budget checkpoint,
-   and the winner still equals the default search's (the margin is
-   doing its job on this workload). *)
-let test_halving_racing () =
-  let default = search () in
-  let raced = with_store (fun s -> search ~cache:s ~race:true ()) in
-  check Alcotest.bool "racing raced candidates out" true
-    (raced.Halving.stats.Halving.raced_out > 0);
-  check Alcotest.string "racing preserves the winner"
-    (match default.Halving.winner with
-    | Some w -> w.Halving.c_label
-    | None -> "none")
-    (match raced.Halving.winner with
-    | Some w -> w.Halving.c_label
-    | None -> "none");
-  let raced_cands =
-    List.concat_map
-      (fun r ->
-        List.filter
-          (fun c -> c.Halving.c_raced_at <> None)
-          r.Halving.r_candidates)
-      raced.Halving.rungs
-  in
-  check Alcotest.int "raced_out counts the raced candidates"
-    raced.Halving.stats.Halving.raced_out
-    (List.length raced_cands);
-  (* No raced candidate was ever kept. *)
-  List.iter
-    (fun r ->
-      List.iter
-        (fun c ->
-          if c.Halving.c_raced_at <> None && List.mem c.Halving.c_label r.Halving.r_kept
-          then fail "a raced-out candidate was kept")
-        r.Halving.r_candidates)
-    raced.Halving.rungs
-
-(* The adaptive keep rule, pinned: default threshold reproduces the
-   canonical ceil(n/eta) rule; a positive threshold widens across a
-   near-tie and no further. *)
+(* The keep rule, pinned: the canonical ceil(n/eta), capped at the
+   functional candidates there are. *)
 let test_keep_width () =
   let scores = [ 0.10; 0.20; 0.30; 0.31; 0.90 ] in
   check Alcotest.int "default = canonical" 3
-    (Halving.keep_width ~eta:2 ~close_threshold:0. ~field:5 scores);
-  check Alcotest.int "near-tie widens by one" 4
-    (Halving.keep_width ~eta:2 ~close_threshold:0.05 ~field:5 scores);
-  check Alcotest.int "huge threshold keeps all" 5
-    (Halving.keep_width ~eta:2 ~close_threshold:10. ~field:5 scores);
+    (Halving.keep_width ~eta:2 ~field:5 scores);
   check Alcotest.int "fewer functional than base keeps all" 2
-    (Halving.keep_width ~eta:2 ~close_threshold:0. ~field:8 [ 0.1; 0.2 ]);
-  check Alcotest.int "exact-threshold tie excluded" 3
-    (Halving.keep_width ~eta:2 ~close_threshold:0.01 ~field:5 scores)
-
-let test_close_threshold_search () =
-  (* A huge threshold keeps every functional candidate at every rung:
-     the search degenerates to exhaustive full-fidelity evaluation,
-     and the winner still matches the default search's. *)
-  let default = search () in
-  let wide = search ~close_threshold:1e9 () in
-  List.iter
-    (fun r ->
-      if r.Halving.r_iterations < 60 then
-        check Alcotest.int
-          (Printf.sprintf "rung %d keeps all functional" r.Halving.r_number)
-          (List.length
-             (List.filter
-                (fun c -> c.Halving.c_score < infinity)
-                r.Halving.r_candidates))
-          (List.length r.Halving.r_kept))
-    wide.Halving.rungs;
-  check Alcotest.string "winner invariant"
-    (match default.Halving.winner with
-    | Some w -> w.Halving.c_label
-    | None -> "none")
-    (match wide.Halving.winner with
-    | Some w -> w.Halving.c_label
-    | None -> "none")
+    (Halving.keep_width ~eta:2 ~field:8 [ 0.1; 0.2 ])
 
 let test_degenerate_diagnostic () =
   let r = search ~min_iterations:60 () in
@@ -576,14 +507,6 @@ let test_degenerate_diagnostic () =
   check Alcotest.int "single rung" 1 (List.length r.Halving.rungs);
   check Alcotest.bool "healthy schedule has no diagnostic" true
     ((search ()).Halving.degenerate = None)
-
-let test_halving_param_validation () =
-  Alcotest.check_raises "negative race_margin"
-    (Invalid_argument "Halving.run: race_margin >= 0") (fun () ->
-      ignore (search ~race_margin:(-0.1) ()));
-  Alcotest.check_raises "negative close_threshold"
-    (Invalid_argument "Halving.run: close_threshold >= 0") (fun () ->
-      ignore (search ~close_threshold:(-1.) ()))
 
 (* --- GC and manifest --------------------------------------------------- *)
 
@@ -646,10 +569,7 @@ let suite =
         `Quick,
         test_halving_resume_deterministic );
       ("halving resume jobs invariant", `Quick, test_halving_resume_jobs_invariant);
-      ("halving racing", `Quick, test_halving_racing);
       ("keep width", `Quick, test_keep_width);
-      ("close threshold search", `Quick, test_close_threshold_search);
       ("degenerate diagnostic", `Quick, test_degenerate_diagnostic);
-      ("halving param validation", `Quick, test_halving_param_validation);
       ("gc and manifest", `Quick, test_gc_and_manifest);
     ]

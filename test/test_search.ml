@@ -34,13 +34,11 @@ let smoke_graph = Mclock_workloads.Workload.graph smoke_workload
 let smoke_constraints = smoke_workload.Mclock_workloads.Workload.constraints
 
 let search ?cache ?(jobs = 1) ?(eta = 2) ?min_iterations ?constraints
-    ?(iterations = 60) ?(max_clocks = 2) ?objective ?resume ?race ?race_margin
-    ?close_threshold () =
+    ?(iterations = 60) ?(max_clocks = 2) ?objective ?resume () =
   Mclock_exec.Pool.with_pool ~jobs (fun pool ->
       Halving.run ~pool ?cache ~eta ?min_iterations ?constraints ~seed:42
-        ~iterations ~max_clocks ?objective ?resume ?race ?race_margin
-        ?close_threshold ~name:"facet" ~sched_constraints:smoke_constraints
-        smoke_graph)
+        ~iterations ~max_clocks ?objective ?resume ~name:"facet"
+        ~sched_constraints:smoke_constraints smoke_graph)
 
 let doc r = Mclock_util.Json.to_string (Halving.result_json r)
 
@@ -82,6 +80,8 @@ let test_objective_parse_roundtrip () =
       "0.7*power+0.2*area+0.1*latency";
       " power + energy ";
       "2*power+power";
+      "0.1234567*power+area";
+      "1e7*power+area";
     ]
 
 let test_objective_parse_errors () =
@@ -324,6 +324,31 @@ let test_halving_constraints_prune_before_rungs () =
         g.Halving.r_candidates)
     r.Halving.rungs
 
+(* [parse] splits terms on '+', so no weight may print an exponent
+   sign; every weight must still read back as the same float. *)
+let test_objective_weights_print_without_exponent_plus () =
+  List.iter
+    (fun w ->
+      let t =
+        match Objective.parse (w ^ "*power+area") with
+        | Ok t -> t
+        | Error e -> fail (Printf.sprintf "weight %s does not parse: %s" w e)
+      in
+      let s = Objective.to_string t in
+      String.iteri
+        (fun i c ->
+          if c = 'e' && i + 1 < String.length s && s.[i + 1] = '+' then
+            fail (Printf.sprintf "%S prints an exponent '+'" s))
+        s;
+      match Objective.parse s with
+      | Ok t' when Objective.equal t t' -> ()
+      | Ok _ -> fail (Printf.sprintf "%S re-parses differently" s)
+      | Error e -> fail (Printf.sprintf "%S does not re-parse: %s" s e))
+    [
+      "1e7"; "2.5e12"; "1e22"; "123456789"; "0.1234567"; "1e-7"; "3e-12";
+      "0.3333333333333333";
+    ]
+
 let suite =
   [
     ("objective parse roundtrip", `Quick, test_objective_parse_roundtrip);
@@ -346,4 +371,7 @@ let suite =
     ( "halving constraints prune before rungs",
       `Quick,
       test_halving_constraints_prune_before_rungs );
+    ( "objective weights print without exponent plus",
+      `Quick,
+      test_objective_weights_print_without_exponent_plus );
   ]
