@@ -73,6 +73,8 @@ let load ~workload ~file ~scheduler =
           Error (Printf.sprintf "%s:%d: %s" path line message)
       | exception Mclock_lang.Compile.Error { line; message } ->
           Error (Printf.sprintf "%s:%d: %s" path line message)
+      | exception Mclock_dfg.Graph.Invalid message ->
+          Error (Printf.sprintf "%s: %s" path message)
       | exception Sys_error msg -> Error msg
       | graph -> (
           match scheduler with

@@ -85,7 +85,10 @@ let tokenize text =
       | c when is_digit c ->
           let rec scan j = if j < n && is_digit text.[j] then scan (j + 1) else j in
           let j = scan i in
-          emit (Token.Int (int_of_string (String.sub text i (j - i))));
+          let digits = String.sub text i (j - i) in
+          (match int_of_string_opt digits with
+          | Some v -> emit (Token.Int v)
+          | None -> error !line "integer literal %s is out of range" digits);
           go j
       | c when is_ident_start c ->
           let rec scan j = if j < n && is_ident_char text.[j] then scan (j + 1) else j in

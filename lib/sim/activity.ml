@@ -13,11 +13,13 @@
    - Gating: clock-gating cells.
 
    Storage is a flat float array indexed [comp * num_categories + cat]
-   (grown on demand), so [add] — called once per charge on the
-   simulator's hottest path — is a bounds check and one array update,
-   and the aggregate queries are single passes in deterministic index
-   order.  All charges are non-negative, so a non-zero cell is exactly
-   "this (comp, category) was ever charged". *)
+   (grown on demand), so [add] — called once per charge by the
+   reference simulator and the static analysis — is a bounds check and
+   one array update, and the aggregate queries are single passes in
+   deterministic index order.  The compiled kernel keeps its own array
+   in this layout and wraps it with [of_raw] when a run ends.  All
+   charges are non-negative, so a non-zero cell is exactly "this
+   (comp, category) was ever charged". *)
 
 type category =
   | Clock
@@ -87,14 +89,9 @@ let[@inline] add t ~comp ~category pj =
 
 let total t = t.total
 
-(* Checkpoint support.  [total] is the running float accumulation, not
-   a derived quantity: re-summing the cells would reassociate the
-   additions and drift from the uninterrupted run by ULPs, so copies
-   and raw snapshots carry it verbatim. *)
-let copy t = { cells = Array.copy t.cells; total = t.total }
-
-let raw_cells t = Array.copy t.cells
-
+(* [total] is the running float accumulation, not a derived quantity:
+   re-summing the cells would reassociate the additions and drift from
+   the accumulating kernel by ULPs, so it is carried verbatim. *)
 let of_raw ~cells ~total = { cells = Array.copy cells; total }
 
 let max_comp t = (Array.length t.cells / num_categories) - 1

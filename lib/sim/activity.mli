@@ -14,6 +14,14 @@ type category =
 val all_categories : category list
 val category_name : category -> string
 
+val num_categories : int
+
+val category_index : category -> int
+(** A category's offset within a component's cells: cell
+    [comp * num_categories + category_index c] holds what {!get}
+    returns for [(comp, c)].  Exported for kernels that keep their own
+    flat cell array and hand it to {!of_raw} when done. *)
+
 type t
 
 val global_component : int
@@ -26,17 +34,11 @@ val create : ?max_comp:int -> unit -> t
 val add : t -> comp:int -> category:category -> float -> unit
 val total : t -> float
 
-val copy : t -> t
-(** Independent deep copy — charges to one never show in the other. *)
-
-val raw_cells : t -> float array
-(** A copy of the flat cell array ([comp * |categories| + category]),
-    for checkpoint serialization.  Pair it with {!total}: the running
-    total must be carried verbatim, not re-summed, to keep resumed
-    accumulations bit-identical. *)
-
 val of_raw : cells:float array -> total:float -> t
-(** Rebuild from a {!raw_cells} / {!total} snapshot (copies [cells]). *)
+(** An accumulator over a flat cell array laid out as
+    {!category_index} describes (copies [cells]).  [total] is the
+    running sum in charge order, carried verbatim: re-summing the
+    cells would reassociate the additions and drift by ULPs. *)
 
 val get : t -> comp:int -> category:category -> float
 (** Energy charged to one (component, category) cell; 0 if never charged. *)

@@ -20,7 +20,9 @@
      energy is a table indexed by Hamming distance);
    - datapath values are raw int payloads; transitions are counted
      with [Bitvec.popcount] on xors;
-   - activity accumulates into the flat [Activity.t] cells directly;
+   - energy accumulates into a kernel-owned flat float array, charged
+     by an inlined same-module function, so no charge boxes its float
+     (see [charge]); the [Activity.t] is built once, when the run ends;
    - primary inputs are read from, and output taps written to, the
      run's int matrices (one row per computation, one column per
      variable), so no map is touched per cycle;
@@ -36,9 +38,10 @@
    their duty cycle (gated or loading storages are always active).
    Skipping is sound for energy because a skipped evaluation would have
    found a zero Hamming distance, and zero charges are dropped by
-   [Activity.add] in both kernels; the emitted charge sequence — and
-   therefore every float accumulation — is identical to the reference
-   interpreter's, which is what the differential tests pin down. *)
+   [charge] here and by [Activity.add] in the reference; the emitted
+   charge sequence — and therefore every float accumulation — is
+   identical to the reference interpreter's, which is what the
+   differential tests pin down. *)
 
 open Mclock_dfg
 open Mclock_rtl
@@ -405,7 +408,8 @@ type rstate = {
   s_alu_in_b : int array;
   s_alu_busy_prev : bool array;
   s_load_prev : bool array;
-  s_activity : Activity.t;
+  s_cells : float array; (* comp * Activity.num_categories + category -> pJ *)
+  s_total : float array; (* one slot: the running total *)
   mutable s_outputs : int array array; (* one row per computation *)
 }
 
@@ -458,7 +462,8 @@ let fresh_state k ~iterations row0 =
       s_alu_in_b = Array.make n 0;
       s_alu_busy_prev = Array.make n false;
       s_load_prev = Array.make n false;
-      s_activity = Activity.create ~max_comp:k.max_id ();
+      s_cells = Array.make (n * Activity.num_categories) 0.;
+      s_total = [| 0. |];
       s_outputs = output_rows k iterations;
     }
   in
@@ -485,7 +490,8 @@ let copy_state st =
     s_alu_in_b = Array.copy st.s_alu_in_b;
     s_alu_busy_prev = Array.copy st.s_alu_busy_prev;
     s_load_prev = Array.copy st.s_load_prev;
-    s_activity = Activity.copy st.s_activity;
+    s_cells = Array.copy st.s_cells;
+    s_total = Array.copy st.s_total;
     s_outputs = Array.map Array.copy st.s_outputs;
   }
 
@@ -505,6 +511,32 @@ let setup_signals k trace =
             | None -> Vcd.register vcd ~name ~width:k.width ))
         k.comps
 
+(* The kernel's energy accumulator is its own: [cells] is the flat
+   array {!Activity.of_raw} takes ([comp * num_categories + category]),
+   [total] the running sum in a one-slot float array (a mutable float
+   field in a mixed record would box on every write).  Inlined from
+   this module, a charge is unboxed float arithmetic and two array
+   stores; [Activity.add] is an opaque call under separate compilation
+   and boxes its argument.  The semantics are [Activity.add]'s: zero
+   charges are dropped, the cell is updated before the total, so every
+   float accumulation matches the reference kernel's bit for bit. *)
+let[@inline] charge cells total comp cat pj =
+  if pj <> 0. then begin
+    let i = (comp * Activity.num_categories) + cat in
+    cells.(i) <- cells.(i) +. pj;
+    total.(0) <- total.(0) +. pj
+  end
+
+let cat_clock = Activity.category_index Activity.Clock
+let cat_storage_write = Activity.category_index Activity.Storage_write
+let cat_data = Activity.category_index Activity.Data
+let cat_alu_internal = Activity.category_index Activity.Alu_internal
+let cat_mux_data = Activity.category_index Activity.Mux_data
+let cat_mux_select = Activity.category_index Activity.Mux_select
+let cat_control = Activity.category_index Activity.Control
+let cat_isolation = Activity.category_index Activity.Isolation
+let cat_gating = Activity.category_index Activity.Gating
+
 (* Execute cycles [from_cycle .. to_cycle] of a run totalling
    [iterations] computations.  The body is the hot path; all state
    arrays are re-bound to locals once per range, and every walk is an
@@ -522,7 +554,8 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
   let alu_in_b = st.s_alu_in_b in
   let alu_busy_prev = st.s_alu_busy_prev in
   let load_prev = st.s_load_prev in
-  let activity = st.s_activity in
+  let cells = st.s_cells in
+  let total = st.s_total in
   let outs = st.s_outputs in
   let record_trace cycle =
     match trace with
@@ -539,8 +572,7 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
       let fresh = row.(col) in
       let h = B.popcount (values.(port) lxor fresh) in
       if h > 0 then begin
-        Activity.add activity ~comp:port ~category:Activity.Data
-          (float_of_int h *. k.e_port);
+        charge cells total port cat_data (float_of_int h *. k.e_port);
         values.(port) <- fresh;
         val_stamp.(port) <- cycle
       end
@@ -564,16 +596,14 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
       let mux_id, idx = sc.sc_sel.(i) in
       mux_sel.(mux_id) <- idx;
       ctrl_stamp.(mux_id) <- cycle;
-      Activity.add activity ~comp:mux_id ~category:Activity.Mux_select
-        k.e_mux_sel
+      charge cells total mux_id cat_mux_select k.e_mux_sel
     done;
     for i = 0 to Array.length sc.sc_ops - 1 do
       let alu_id, code = sc.sc_ops.(i) in
       alu_op.(alu_id) <- code;
       op_stamp.(alu_id) <- cycle
     done;
-    Activity.add activity ~comp:Activity.global_component
-      ~category:Activity.Control sc.sc_ctrl_e;
+    charge cells total Activity.global_component cat_control sc.sc_ctrl_e;
     let loads = k.loads_at.(step) in
     let busy = k.busy_at.(step) in
     (* 3. Combinational propagation (skipping quiescent instructions). *)
@@ -589,7 +619,7 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
             let v = src_val values src in
             let h = B.popcount (values.(id) lxor v) in
             if h > 0 then begin
-              Activity.add activity ~comp:id ~category:Activity.Mux_data
+              charge cells total id cat_mux_data
                 (float_of_int h *. k.e_mux_data);
               values.(id) <- v;
               val_stamp.(id) <- cycle
@@ -600,8 +630,7 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
           let is_busy = busy.(id) in
           if a.al_isolated && not is_busy then begin
             if alu_busy_prev.(id) then
-              Activity.add activity ~comp:id ~category:Activity.Isolation
-                k.e_iso_idle;
+              charge cells total id cat_isolation k.e_iso_idle;
             alu_busy_prev.(id) <- false
           end
           else begin
@@ -620,12 +649,10 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
                 + if op_stamp.(id) = cycle then width else 0
               in
               if h > 0 then begin
-                Activity.add activity ~comp:id ~category:Activity.Alu_internal
-                  a.al_energy.(h);
+                charge cells total id cat_alu_internal a.al_energy.(h);
                 let out = eval_code alu_op.(id) a_new b_new k.mask in
                 let ho = B.popcount (values.(id) lxor out) in
-                Activity.add activity ~comp:id ~category:Activity.Data
-                  (float_of_int ho *. k.e_fu_out);
+                charge cells total id cat_data (float_of_int ho *. k.e_fu_out);
                 if ho > 0 then begin
                   values.(id) <- out;
                   val_stamp.(id) <- cycle
@@ -634,7 +661,7 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
                 alu_in_b.(id) <- b_new
               end;
               if a.al_isolated && is_busy then
-                Activity.add activity ~comp:id ~category:Activity.Isolation
+                charge cells total id cat_isolation
                   (float_of_int h *. k.e_iso)
             end;
             alu_busy_prev.(id) <- is_busy
@@ -647,23 +674,22 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
       let id = st.st_id in
       let loading = loads.(id) in
       if st.st_gated then begin
-        Activity.add activity ~comp:id ~category:Activity.Clock k.e_tree2;
+        charge cells total id cat_clock k.e_tree2;
         if loading then
-          Activity.add activity ~comp:id ~category:Activity.Clock st.st_pin2
+          charge cells total id cat_clock st.st_pin2
       end
       else if phase = st.st_phase then
-        Activity.add activity ~comp:id ~category:Activity.Clock st.st_clk2;
+        charge cells total id cat_clock st.st_clk2;
       if st.st_gated && loading <> load_prev.(id) then
-        Activity.add activity ~comp:id ~category:Activity.Gating k.e_gate;
+        charge cells total id cat_gating k.e_gate;
       load_prev.(id) <- loading;
       if loading then begin
         let v = src_val values st.st_input in
         let h = B.popcount (values.(id) lxor v) in
         if h > 0 then begin
-          Activity.add activity ~comp:id ~category:Activity.Storage_write
+          charge cells total id cat_storage_write
             (float_of_int h *. st.st_wr_e);
-          Activity.add activity ~comp:id ~category:Activity.Data
-            (float_of_int h *. st.st_out_e);
+          charge cells total id cat_data (float_of_int h *. st.st_out_e);
           values.(id) <- v;
           (* Readers see the write from the next cycle on. *)
           val_stamp.(id) <- cycle + 1
@@ -692,7 +718,7 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
 
 let finish k st ~iterations ~ins =
   let total_cycles = iterations * k.t_steps in
-  let energy_pj = Activity.total st.s_activity in
+  let energy_pj = st.s_total.(0) in
   let sim_time_s = float_of_int total_cycles *. Clock.period k.clock in
   let power_mw = energy_pj *. 1e-12 /. sim_time_s *. 1e3 in
   {
@@ -701,7 +727,7 @@ let finish k st ~iterations ~ins =
     sim_time_s;
     energy_pj;
     power_mw;
-    activity = st.s_activity;
+    activity = Activity.of_raw ~cells:st.s_cells ~total:energy_pj;
     input_vars = k.input_vars;
     output_vars = k.output_vars;
     inputs = ins;
@@ -881,8 +907,8 @@ module Checkpoint = struct
     Binio.W.int_array w st.s_alu_in_b;
     Binio.W.bool_array w st.s_alu_busy_prev;
     Binio.W.bool_array w st.s_load_prev;
-    Binio.W.float_array w (Activity.raw_cells st.s_activity);
-    Binio.W.float w (Activity.total st.s_activity);
+    Binio.W.float_array w st.s_cells;
+    Binio.W.float w st.s_total.(0);
     write_matrix w st.s_outputs;
     Binio.seal ~magic (Binio.W.contents w)
 
@@ -927,8 +953,12 @@ module Checkpoint = struct
           let s_alu_in_b = int_arr () in
           let s_alu_busy_prev = bool_arr () in
           let s_load_prev = bool_arr () in
-          let cells = Binio.R.float_array r in
-          let total = Binio.R.float r in
+          (* [ck_n] was validated against real array lengths above,
+             so the product cannot overflow. *)
+          let s_cells = Binio.R.float_array r in
+          if Array.length s_cells <> ck_n * Activity.num_categories then
+            raise (Binio.Corrupt "checkpoint: bad energy cell array length");
+          let s_total = [| Binio.R.float r |] in
           let s_outputs = read_matrix r ~cols:ck_n_out in
           if Array.length s_outputs <> ck_iterations then
             raise (Binio.Corrupt "checkpoint: output rows <> iterations");
@@ -956,7 +986,8 @@ module Checkpoint = struct
                 s_alu_in_b;
                 s_alu_busy_prev;
                 s_load_prev;
-                s_activity = Activity.of_raw ~cells ~total;
+                s_cells;
+                s_total;
                 s_outputs;
               };
           }

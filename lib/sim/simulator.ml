@@ -101,15 +101,8 @@ let materialize_stimulus ?stimulus rng ~inputs ~width ~iterations =
            (Mclock_util.List_ext.take iterations envs))
   | None ->
       (* [Bitvec.random]'s draw, without boxing each value. *)
-      let mask = (1 lsl width) - 1 in
-      let m = Array.make_matrix iterations (Array.length vars) 0 in
-      for i = 0 to iterations - 1 do
-        let row = m.(i) in
-        for j = 0 to Array.length row - 1 do
-          row.(j) <- Mclock_util.Rng.bits rng land mask
-        done
-      done;
-      m
+      Mclock_util.Rng.bits_matrix rng ~rows:iterations ~cols:(Array.length vars)
+        ~mask:((1 lsl width) - 1)
 
 let run ?(seed = 42) ?trace ?observer ?stimulus tech design ~iterations =
   if iterations < 1 then invalid_arg "Simulator.run: iterations must be >= 1";

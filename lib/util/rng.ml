@@ -23,8 +23,9 @@ let state t = t.state
 
 let of_state s = { state = s }
 
-(* SplitMix64 finalizer. *)
-let mix z =
+(* SplitMix64 finalizer.  Inlined so [bits_matrix] keeps its int64s
+   unboxed. *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -40,6 +41,23 @@ let split t =
 let max_bits = 0x3FFFFFFFFFFFFFFF
 
 let bits t = Int64.to_int (Int64.logand (next_int64 t) 0x3FFFFFFFFFFFFFFFL)
+
+(* [bits] drawn [rows * cols] times, row by row.  Each [bits] call
+   stores a freshly boxed counter into [t]; here the counter is a local,
+   which the compiler keeps unboxed, and [t] is written once. *)
+let bits_matrix t ~rows ~cols ~mask =
+  let m = Array.make_matrix rows cols 0 in
+  let s = ref t.state in
+  for i = 0 to rows - 1 do
+    let row = m.(i) in
+    for j = 0 to cols - 1 do
+      s := Int64.add !s golden_gamma;
+      row.(j) <-
+        Int64.to_int (Int64.logand (mix !s) 0x3FFFFFFFFFFFFFFFL) land mask
+    done
+  done;
+  t.state <- !s;
+  m
 
 (* Rejection sampling: [bits] spans [0, 2^62), which a non-power-of-two
    [bound] does not divide, so a plain [mod] over-weights the low

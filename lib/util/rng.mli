@@ -26,6 +26,12 @@ val split : t -> t
 val bits : t -> int
 (** 62 uniformly random non-negative bits. *)
 
+val bits_matrix : t -> rows:int -> cols:int -> mask:int -> int array array
+(** [bits_matrix t ~rows ~cols ~mask] is a fresh [rows x cols] matrix
+    whose entry [(i, j)] is the [(i * cols + j)]-th of [rows * cols]
+    successive [bits t land mask] draws, and leaves [t] where those
+    draws would; it allocates only the matrix. *)
+
 val int : t -> int -> int
 (** [int t bound] is exactly uniform in [\[0, bound)] (rejection
     sampling, no modulo bias). Raises [Invalid_argument] if

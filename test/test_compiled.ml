@@ -207,6 +207,36 @@ let test_bad_select_raises () =
   | _ -> fail "compiler accepted an out-of-range mux select"
   | exception Invalid_argument _ -> ()
 
+(* The per-cycle path allocates nothing: energy charges go to the
+   kernel's unboxed cell array and the stimulus is drawn without a
+   boxed int64 per value.  What a run still allocates grows with
+   computations (one input and one output row each), not with cycles.
+   Measured on this design (30 cycles per computation): 0.5 words per
+   extra cycle, which is those rows; 30 when [charge] is not inlined
+   and every charge boxes its float, and 81 before the kernel owned
+   its accumulator (a boxed float per [Activity.add], a boxed int64
+   per [Rng.bits]).  The bound of 2 admits the rows and no per-charge
+   allocation. *)
+let test_allocation_free () =
+  let s = Mclock_workloads.Workload.schedule Mclock_workloads.Ewf.t in
+  let design = Flow.synthesize ~method_:(Flow.Integrated 2) ~name:"alloc" s in
+  let kernel = Compiled.compile tech design in
+  let words iterations =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Compiled.run ~seed:42 kernel ~iterations));
+    Gc.minor_words () -. before
+  in
+  let n = 500 in
+  ignore (words n);
+  let w1 = words n in
+  let w2 = words (2 * n) in
+  let r = Compiled.run ~seed:42 kernel ~iterations:n in
+  let per_cycle = (w2 -. w1) /. float_of_int r.Sim.cycles in
+  if per_cycle > 2. then
+    fail
+      (Printf.sprintf "%.1f words allocated per extra simulated cycle (bound 2)"
+         per_cycle)
+
 let suite =
   differential_tests
   @ [
@@ -215,4 +245,5 @@ let suite =
       ("vcd parity", `Quick, test_vcd_parity);
       ("observer parity", `Quick, test_observer_parity);
       ("out-of-range mux select raises", `Quick, test_bad_select_raises);
+      ("per-cycle path allocates nothing", `Quick, test_allocation_free);
     ]

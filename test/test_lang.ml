@@ -56,6 +56,16 @@ let test_lexer_line_numbers () =
   | exception Lang.Lexer.Error { line; _ } -> check Alcotest.int "line 2" 2 line
   | _ -> fail "accepted '?'"
 
+(* An out-of-range literal is a lexical error on its line, not a
+   [Failure] from [int_of_string]; the largest int still lexes. *)
+let test_lexer_int_out_of_range () =
+  (match Lang.Lexer.tokenize "a := 1\ny := x + 99999999999999999999\n" with
+  | exception Lang.Lexer.Error { line; _ } -> check Alcotest.int "line 2" 2 line
+  | _ -> fail "accepted an out-of-range literal");
+  let tokens = Lang.Lexer.tokenize (string_of_int max_int) in
+  check Alcotest.bool "max_int lexes" true
+    (List.exists (fun t -> t.Lang.Token.token = Lang.Token.Int max_int) tokens)
+
 (* --- Parser --------------------------------------------------------------- *)
 
 let test_parser_structure () =
@@ -150,6 +160,20 @@ let test_compile_errors () =
   expect_error "behavior t\ninput a\noutput y\nz := a + 1\n";
   expect_error "behavior t\ninput a\noutput y\ny := 1 + 2\n"
 
+(* Programs that parse and name-check but do not form a valid graph
+   raise [Graph.Invalid], as [compile_string] documents: an input
+   declared as an output, and an output that only aliases an input. *)
+let test_compile_unrealizable () =
+  List.iter
+    (fun src ->
+      match Lang.Compile.compile_string src with
+      | exception Graph.Invalid _ -> ()
+      | _ -> fail ("accepted: " ^ src))
+    [
+      "behavior t\ninput x\noutput x\n";
+      "behavior t\ninput x\noutput y\ny := x\n";
+    ]
+
 (* --- End to end: language -> schedule -> design -> verified ------------------- *)
 
 let test_language_to_verified_design () =
@@ -198,6 +222,7 @@ let suite =
     ("lexer newline collapse", `Quick, test_lexer_newline_collapse);
     ("lexer error", `Quick, test_lexer_error);
     ("lexer line numbers", `Quick, test_lexer_line_numbers);
+    ("lexer int out of range", `Quick, test_lexer_int_out_of_range);
     ("parser structure", `Quick, test_parser_structure);
     ("parser precedence", `Quick, test_parser_precedence);
     ("parser left associativity", `Quick, test_parser_left_associativity);
@@ -210,6 +235,8 @@ let suite =
     ("compile alias", `Quick, test_compile_alias);
     ("compile constant fold", `Quick, test_compile_constant_fold);
     ("compile errors", `Quick, test_compile_errors);
+    ("compile unrealizable raises Graph.Invalid", `Quick,
+      test_compile_unrealizable);
     ("language to verified design", `Quick, test_language_to_verified_design);
     ("language matches hand DFG", `Quick, test_language_matches_hand_dfg);
   ]

@@ -3,8 +3,9 @@
    non-overlap, partition arithmetic, schedulers, transfers, the full
    allocation flow on random scheduled DFGs, and the two decoders
    through which outside bytes enter the evaluation cache: the store's
-   entry decoder and the simulation checkpoint decoder, and the
-   constraint, objective and stimulus grammars. *)
+   entry decoder and the simulation checkpoint decoder, the
+   constraint, objective and stimulus grammars, and the behaviour and
+   DFG text parsers. *)
 
 open Mclock_dfg
 module B = Mclock_util.Bitvec
@@ -607,6 +608,51 @@ let prop_grammars_total_and_roundtrip =
       &&
       match Mclock_static.Stim.parse s with Ok _ | Error _ -> true)
 
+(* --- Behaviour and DFG text parsers ----------------------------------------- *)
+
+(* Token soup: keywords, names, operators, literals (one out of int
+   range), separators and a stray byte, in any order, half the time
+   after a well-formed header, so that a string often lexes and parses
+   a long way before it fails. *)
+let soup ~header tokens =
+  Q.make ~print:Fun.id
+    Q.Gen.(
+      map2
+        (fun with_header body -> if with_header then header ^ body else body)
+        bool
+        (map (String.concat " ") (list_size (int_bound 24) (oneofl tokens))))
+
+let beh_soup =
+  soup ~header:"behavior b\ninput x, y\noutput y, z\n"
+    [ "behavior"; "behaviour"; "input"; "output"; "x"; "y"; "z"; "t1"; ":=";
+      "+"; "-"; "*"; "/"; "&"; "|"; "^"; "~"; "<<"; ">>"; "<"; ">"; "=";
+      "("; ")"; ","; "\n"; "0"; "3"; "99999999999999999999"; "# c"; "$" ]
+
+let dfg_soup =
+  soup ~header:"dfg d\ninputs x y\noutputs t1\n"
+    [ "dfg"; "d"; "inputs"; "outputs"; "x"; "y"; "t1"; "n1:"; "n2:"; "nq:";
+      "="; "+"; "-"; "*"; "~"; "<<"; "@"; "0"; "2"; "-1";
+      "99999999999999999999"; "\n"; "# c" ]
+
+(* The CLI's loaders catch exactly the exceptions these parsers
+   document; anything else surfaces as an internal error. *)
+let prop_beh_parser_documented_errors =
+  Q.Test.make ~name:".beh compiler raises only its documented errors"
+    ~count:2000 beh_soup (fun s ->
+      match Mclock_lang.Compile.compile_string s with
+      | _ -> true
+      | exception
+          ( Mclock_lang.Lexer.Error _ | Mclock_lang.Parser.Error _
+          | Mclock_lang.Compile.Error _ | Graph.Invalid _ ) ->
+          true)
+
+let prop_dfg_parser_documented_errors =
+  Q.Test.make ~name:"DFG text parser raises only Parse.Error" ~count:2000
+    dfg_soup (fun s ->
+      match Parse.parse_string s with
+      | _ -> true
+      | exception Parse.Error _ -> true)
+
 let suite =
   List.map to_alcotest
     [
@@ -654,4 +700,6 @@ let suite =
       prop_ckpt_roundtrip_resumes;
       prop_ckpt_decode_resealed;
       prop_grammars_total_and_roundtrip;
+      prop_beh_parser_documented_errors;
+      prop_dfg_parser_documented_errors;
     ]

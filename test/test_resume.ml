@@ -276,6 +276,31 @@ let test_encode_decode_roundtrip () =
       check Alcotest.string "encode deterministic" blob
         (Compiled.Checkpoint.encode ck)
 
+(* Re-seal [blob] with its energy cell array replaced by [f cells],
+   copying every other field of the v2 payload through unchanged. *)
+let with_cells f blob =
+  let module Binio = Mclock_util.Binio in
+  let magic = "MCLOCK-CKPT-v2\n" in
+  let payload = Result.get_ok (Binio.unseal ~magic blob) in
+  let r = Binio.R.of_string payload and w = Binio.W.create () in
+  let ints n = for _ = 1 to n do Binio.W.int w (Binio.R.int r) done in
+  let matrix () =
+    let rows = Binio.R.int r in
+    Binio.W.int w rows;
+    for _ = 1 to rows do Binio.W.int_array w (Binio.R.int_array r) done
+  in
+  ints 7;
+  Binio.W.bool w (Binio.R.bool r);
+  Binio.W.i64 w (Binio.R.i64 r);
+  matrix ();
+  for _ = 1 to 8 do Binio.W.int_array w (Binio.R.int_array r) done;
+  for _ = 1 to 2 do Binio.W.bool_array w (Binio.R.bool_array r) done;
+  Binio.W.float_array w (f (Binio.R.float_array r));
+  Binio.W.float w (Binio.R.float r);
+  matrix ();
+  Binio.R.expect_end r;
+  Binio.seal ~magic (Binio.W.contents w)
+
 let test_decode_rejects_corruption () =
   let _, ck = facet_kernel_and_ck () in
   let blob = Compiled.Checkpoint.encode ck in
@@ -291,7 +316,16 @@ let test_decode_rejects_corruption () =
   let mid = String.length blob / 2 in
   Bytes.set flipped mid (Char.chr (Char.code (Bytes.get flipped mid) lxor 1));
   expect_error "bit flip" (Bytes.to_string flipped);
-  expect_error "appended garbage" (blob ^ "trailing")
+  expect_error "appended garbage" (blob ^ "trailing");
+  (* The kernel indexes the decoded energy cells directly, so their
+     count must be exactly components x categories. *)
+  check Alcotest.string "unchanged cells re-encode to the same bytes" blob
+    (with_cells Fun.id blob);
+  expect_error "energy cells one short"
+    (with_cells (fun c -> Array.sub c 0 (Array.length c - 1)) blob);
+  expect_error "energy cells one long"
+    (with_cells (fun c -> Array.append c [| 0. |]) blob);
+  expect_error "energy cells empty" (with_cells (fun _ -> [||]) blob)
 
 (* --- Store sidecars, engine fallback, search resume -------------------- *)
 

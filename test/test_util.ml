@@ -302,6 +302,29 @@ let test_rng_choose_seeded_regression () =
     [ 10; 20; 50; 10; 10; 10; 10; 20; 20; 20; 30; 30 ]
     drawn2
 
+(* The batch draw is [bits] in row-major order: same values, same
+   generator position afterwards, no allocation beyond the matrix. *)
+let test_rng_bits_matrix_matches_bits () =
+  List.iter
+    (fun (seed, rows, cols, mask) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      let m = Rng.bits_matrix a ~rows ~cols ~mask in
+      let expected =
+        Array.init rows (fun _ ->
+            Array.init cols (fun _ -> Rng.bits b land mask))
+      in
+      check Alcotest.(array (array int)) "same draws" expected m;
+      check Alcotest.int64 "same position" (Rng.state b) (Rng.state a))
+    [ (42, 7, 3, 0xFFFF); (7, 1, 1, max_int); (1, 0, 4, 1); (9, 5, 0, 255) ];
+  let t = Rng.create 3 in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Rng.bits_matrix t ~rows:1 ~cols:200 ~mask:255));
+  let words = Gc.minor_words () -. before in
+  (* One 200-slot row plus its header and the one-row outer array; a
+     boxed counter per draw would add 600. *)
+  if words > 250. then
+    Alcotest.failf "bits_matrix allocated %.0f words for 200 draws" words
+
 (* --- Fingerprint ------------------------------------------------------- *)
 
 let fp_of feed =
@@ -511,6 +534,7 @@ let suite =
     ("rng split independent", `Quick, test_rng_split_independent);
     ("rng choose", `Quick, test_rng_choose);
     ("rng choose seeded regression", `Quick, test_rng_choose_seeded_regression);
+    ("rng bits_matrix = bits", `Quick, test_rng_bits_matrix_matches_bits);
     ("fingerprint deterministic", `Quick, test_fingerprint_deterministic);
     ("fingerprint concat-safe", `Quick, test_fingerprint_no_concat_ambiguity);
     ("fingerprint distinguishes values", `Quick, test_fingerprint_distinguishes_values);
