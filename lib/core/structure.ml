@@ -421,7 +421,7 @@ let build config (problem : Lifetime.problem) reg_classes alus =
     List.filter_map
       (fun (c, a) ->
         if Op.Set.cardinal a.Comp.a_fset > 1 then
-          Some (Comp.id c, List.hd (Op.Set.to_list a.Comp.a_fset))
+          Some (Comp.id c, Schedule_model.default_op a)
         else None)
       (Datapath.alus dp)
   in

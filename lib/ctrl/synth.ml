@@ -42,76 +42,31 @@ type report = {
 
 let bits_needed = Encoding.bits_needed
 
-(* Hold-resolved control values per state (0-based).  Two passes over
-   the cyclic schedule stabilize the held values. *)
-let resolved_controls design =
-  let control = Design.control design in
-  let datapath = Design.datapath design in
-  let t_steps = Control.num_steps control in
-  let muxes = Datapath.muxes datapath in
-  let alus =
-    List.filter
-      (fun (_, a) -> Mclock_dfg.Op.Set.cardinal a.Comp.a_fset > 1)
-      (Datapath.alus datapath)
-  in
-  let mux_sel = Hashtbl.create 8 and alu_fn = Hashtbl.create 8 in
-  List.iter (fun (c, _) -> Hashtbl.replace mux_sel (Comp.id c) 0) muxes;
-  List.iter (fun (c, _) -> Hashtbl.replace alu_fn (Comp.id c) 0) alus;
-  (* Op -> function-select index per multifunction ALU, hoisted out of
-     the per-step replay (the ALU scan and the function-set listing are
-     loop invariants). *)
-  let alu_fn_index = Hashtbl.create 8 in
-  List.iter
-    (fun (c, a) ->
-      let by_op = Hashtbl.create 4 in
-      List.iteri
-        (fun i op -> Hashtbl.replace by_op op i)
-        (Mclock_dfg.Op.Set.to_list a.Comp.a_fset);
-      Hashtbl.replace alu_fn_index (Comp.id c) by_op)
-    alus;
-  let per_state = Array.make t_steps ([], [], []) in
-  for pass = 1 to 2 do
-    for step = 1 to t_steps do
-      let word = Control.word control ~step in
-      List.iter
-        (fun (mux, idx) ->
-          if Hashtbl.mem mux_sel mux then Hashtbl.replace mux_sel mux idx)
-        word.Control.selects;
-      List.iter
-        (fun (alu, op) ->
-          match Hashtbl.find_opt alu_fn_index alu with
-          | Some by_op ->
-              let idx = Option.value (Hashtbl.find_opt by_op op) ~default:0 in
-              Hashtbl.replace alu_fn alu idx
-          | None -> ())
-        word.Control.alu_ops;
-      if pass = 2 then
-        per_state.(step - 1) <-
-          ( word.Control.loads,
-            List.map (fun (c, _) -> (Comp.id c, Hashtbl.find mux_sel (Comp.id c))) muxes,
-            List.map (fun (c, _) -> (Comp.id c, Hashtbl.find alu_fn (Comp.id c))) alus )
-    done
-  done;
-  per_state
-
-(* Flatten the resolved controls into named single-bit output lines. *)
+(* Flatten the hold-resolved controls into named single-bit output
+   lines.  State s (0-based) is step s+1 of the replay's steady
+   period; a multifunction ALU's line value is the index of its held
+   function in its function set. *)
 let output_lines design =
   let datapath = Design.datapath design in
-  let per_state = resolved_controls design in
-  let t_steps = Array.length per_state in
-  let states = Mclock_util.List_ext.range 0 (t_steps - 1) in
+  let steady = (Schedule_model.build design).Schedule_model.steady in
+  let states = Mclock_util.List_ext.range 0 (Array.length steady - 1) in
+  let on_states holds = List.filter (fun s -> holds steady.(s)) states in
+  let bit_lines prefix c ~bits value =
+    List.map
+      (fun bit ->
+        {
+          line_name = Printf.sprintf "%s_%s_%d" prefix (Comp.name c) bit;
+          on_states = on_states (fun st -> (value st lsr bit) land 1 = 1);
+        })
+      (Mclock_util.List_ext.range 0 (bits - 1))
+  in
   let storage_lines =
     List.map
       (fun (c, _) ->
         let id = Comp.id c in
         {
           line_name = Printf.sprintf "load_%s" (Comp.name c);
-          on_states =
-            List.filter
-              (fun s ->
-                let loads, _, _ = per_state.(s) in
-                List.mem id loads)
-              states;
+          on_states = on_states (fun st -> st.Schedule_model.loads.(id));
         })
       (Datapath.storages datapath)
   in
@@ -119,19 +74,9 @@ let output_lines design =
     List.concat_map
       (fun (c, m) ->
         let id = Comp.id c in
-        let bits = bits_needed (Array.length m.Comp.m_choices) in
-        List.map
-          (fun bit ->
-            {
-              line_name = Printf.sprintf "sel_%s_%d" (Comp.name c) bit;
-              on_states =
-                List.filter
-                  (fun s ->
-                    let _, sels, _ = per_state.(s) in
-                    (List.assoc id sels lsr bit) land 1 = 1)
-                  states;
-            })
-          (Mclock_util.List_ext.range 0 (bits - 1)))
+        bit_lines "sel" c
+          ~bits:(bits_needed (Array.length m.Comp.m_choices))
+          (fun st -> st.Schedule_model.sel.(id)))
       (Datapath.muxes datapath)
   in
   let fn_lines =
@@ -141,19 +86,15 @@ let output_lines design =
         if card <= 1 then []
         else
           let id = Comp.id c in
-          let bits = bits_needed card in
-          List.map
-            (fun bit ->
-              {
-                line_name = Printf.sprintf "fn_%s_%d" (Comp.name c) bit;
-                on_states =
-                  List.filter
-                    (fun s ->
-                      let _, _, fns = per_state.(s) in
-                      (List.assoc id fns lsr bit) land 1 = 1)
-                    states;
-              })
-            (Mclock_util.List_ext.range 0 (bits - 1)))
+          let fns = Mclock_dfg.Op.Set.to_list a.Comp.a_fset in
+          let index st =
+            match st.Schedule_model.op.(id) with
+            | Some op ->
+                Option.value ~default:0
+                  (List.find_index (Mclock_dfg.Op.equal op) fns)
+            | None -> 0
+          in
+          bit_lines "fn" c ~bits:(bits_needed card) index)
       (Datapath.alus datapath)
   in
   storage_lines @ select_lines @ fn_lines

@@ -84,13 +84,16 @@ let rec compile_expr env ~line expr =
 let to_graph program =
   let builder = Builder.create program.Ast.name in
   let env = { builder; defined = []; cse = [] } in
-  List.iter
-    (fun name ->
-      if List.mem_assoc name env.defined then
-        error 0 "input %s declared twice" name;
-      let var = Builder.input builder name in
-      env.defined <- (name, var) :: env.defined)
-    program.Ast.inputs;
+  let inputs =
+    List.map
+      (fun name ->
+        if List.mem_assoc name env.defined then
+          error 0 "input %s declared twice" name;
+        let var = Builder.input builder name in
+        env.defined <- (name, var) :: env.defined;
+        var)
+      program.Ast.inputs
+  in
   List.iter
     (fun stmt ->
       let line = stmt.Ast.line in
@@ -102,8 +105,17 @@ let to_graph program =
       let named =
         match stmt.Ast.expr with
         | Ast.Var source -> (
-            (* Alias ('y := x'): reuse the source variable directly. *)
+            (* Alias ('y := x'): reuse the source variable directly.  An
+               output aliasing a primary input would have no datapath
+               node to produce it. *)
             match List.assoc_opt source env.defined with
+            | Some var
+              when List.mem stmt.Ast.target program.Ast.outputs
+                   && List.exists (Var.equal var) inputs ->
+                error line
+                  "output %s only copies input %s; an output must be \
+                   computed by an operation"
+                  stmt.Ast.target (Var.name var)
             | Some var -> V_var var
             | None -> error line "undefined variable %s" source)
         | Ast.Const c ->

@@ -20,8 +20,28 @@ let empty_word = { selects = []; loads = []; alu_ops = [] }
 
 type t = { words : word array }
 
+(* A word assigns each line at most once: a mux select, ALU function or
+   load-enable listed twice in one step has no single held value. *)
+let check_word step w =
+  let once what ids =
+    let rec go = function
+      | a :: (b :: _ as rest) ->
+          if a = b then
+            invalid_arg
+              (Printf.sprintf "Control.create: step %d assigns %s %d twice"
+                 step what a);
+          go rest
+      | [ _ ] | [] -> ()
+    in
+    go (List.sort Int.compare ids)
+  in
+  once "mux" (List.map fst w.selects);
+  once "load" w.loads;
+  once "ALU" (List.map fst w.alu_ops)
+
 let create words =
   if words = [] then invalid_arg "Control.create: no control words";
+  List.iteri (fun i w -> check_word (i + 1) w) words;
   { words = Array.of_list words }
 
 let num_steps t = Array.length t.words
@@ -35,28 +55,6 @@ let select t ~step ~mux = List.assoc_opt mux (word t ~step).selects
 let loads t ~step = (word t ~step).loads
 
 let alu_op t ~step ~alu = List.assoc_opt alu (word t ~step).alu_ops
-
-(* Number of control values that change between consecutive steps — the
-   basis for control-network power. *)
-let changes_between a b =
-  let count_assoc la lb =
-    List.fold_left
-      (fun acc (k, v) ->
-        match List.assoc_opt k la with
-        | Some v' when v' = v -> acc
-        | Some _ | None -> acc + 1)
-      0 lb
-  in
-  let load_changes =
-    let in_a = List.filter (fun x -> not (List.mem x b.loads)) a.loads in
-    let in_b = List.filter (fun x -> not (List.mem x a.loads)) b.loads in
-    List.length in_a + List.length in_b
-  in
-  count_assoc a.selects b.selects
-  + count_assoc
-      (List.map (fun (k, op) -> (k, Op.name op)) a.alu_ops)
-      (List.map (fun (k, op) -> (k, Op.name op)) b.alu_ops)
-  + load_changes
 
 let pp_word ppf w =
   Fmt.pf ppf "sel={%a} load={%a} op={%a}"

@@ -15,7 +15,9 @@ val empty_word : word
 type t
 
 val create : word list -> t
-(** One word per step, step 1 first; raises [Invalid_argument] on []. *)
+(** One word per step, step 1 first.  Raises [Invalid_argument] on []
+    and on a word that assigns the same mux, ALU or storage load twice
+    (the message names the step). *)
 
 val num_steps : t -> int
 
@@ -25,10 +27,6 @@ val word : t -> step:int -> word
 val select : t -> step:int -> mux:int -> int option
 val loads : t -> step:int -> int list
 val alu_op : t -> step:int -> alu:int -> Op.t option
-
-val changes_between : word -> word -> int
-(** Number of control values that differ — the per-transition unit of
-    control-network power. *)
 
 val pp_word : Format.formatter -> word -> unit
 val pp : Format.formatter -> t -> unit

@@ -7,14 +7,16 @@
    dense arrays so the per-cycle path is branch-light and
    allocation-free:
 
-   - control words become per-step *deltas*: the mux-select and ALU-op
-     writes that actually change state, plus the load-line toggle count
-     and the resulting control-network energy, precomputed for the
-     first period and for the steady state (the held-control state at
-     the end of a period is a fixed point, so period 1 may differ but
-     all later periods repeat);
-   - per-step load and busy lines become bitsets indexed by component
-     id, replacing [List.mem] / [List.mem_assoc];
+   - control words become per-step *deltas*, read off
+     [Schedule_model]'s two-period replay of the held controls: the
+     mux-select and ALU-op writes that actually change state, plus the
+     control-network energy of every line change, for the first period
+     and for the steady state (the held-control state at the end of a
+     period is a fixed point, so period 1 may differ but all later
+     periods repeat).  The reference interprets the words itself, so
+     the differential tests check this replay independently;
+   - per-step load and busy lines are the replay's bitsets indexed by
+     component id, replacing [List.mem] / [List.mem_assoc];
    - the combinational order becomes an instruction array with encoded
      integer sources and hoisted energy coefficients (ALU internal
      energy is a table indexed by Hamming distance);
@@ -136,9 +138,9 @@ type t = {
   reset : (int * int * int) array; (* (column, port, register id | -1) *)
   first_ctrl : step_ctrl array; (* by step - 1; cycles 1..t_steps *)
   steady_ctrl : step_ctrl array; (* by step - 1; all later cycles *)
-  loads_at : bool array array; (* step -> id -> load line high *)
-  busy_at : bool array array; (* step -> id -> ALU scheduled *)
-  default_ops : (int * int) array; (* ALU reset functions *)
+  loads_at : bool array array; (* by step - 1: id -> load line high *)
+  busy_at : bool array array; (* by step - 1: id -> ALU scheduled *)
+  reset_ops : int array; (* id -> ALU function code at reset *)
   instrs : instr array; (* combinational order *)
   stors_at : stor array array array; (* step -> phase -> active storages *)
   taps_at : (int * int) array array; (* step -> (column, source) ready *)
@@ -157,13 +159,11 @@ let compile tech design =
     ~attrs:[ ("design", Design.name design) ]
   @@ fun () ->
   let datapath = Design.datapath design in
-  let control = Design.control design in
   let clock = Design.clock design in
   let width = Datapath.width datapath in
   let mask = (1 lsl width) - 1 in
-  let t_steps = Control.num_steps control in
-  let comps = Datapath.comps datapath in
-  let max_id = List.fold_left (fun acc c -> max acc (Comp.id c)) 0 comps in
+  let model = Schedule_model.build design in
+  let t_steps = model.t_steps and max_id = model.max_id in
   let ept cap = L.energy_per_transition tech cap in
   let e_ctrl = ept tech.L.control_line_cap in
   let encode = encode_src mask in
@@ -173,80 +173,40 @@ let compile tech design =
     (fun (c, m) ->
       n_choices.(Comp.id c) <- Array.length m.Comp.m_choices)
     (Datapath.muxes datapath);
-  (* Replay the controller against the held-control state machine for
-     two periods.  The state at the end of a period (last written value
-     per line, initial value if never written) does not depend on the
-     state at its start, so period 2's deltas are the steady state. *)
-  let mux_sel = Array.make (max_id + 1) 0 in
-  let alu_fn : Op.t option array = Array.make (max_id + 1) None in
-  List.iter
-    (fun (c, a) ->
-      alu_fn.(Comp.id c) <- Some (List.hd (Op.Set.to_list a.Comp.a_fset)))
-    (Datapath.alus datapath);
-  let prev_loads = ref [] in
-  let compile_step step =
-    let word = Control.word control ~step in
-    let sels =
-      List.filter_map
-        (fun (m, idx) ->
-          if mux_sel.(m) = idx then None
-          else begin
-            if n_choices.(m) >= 0 && (idx < 0 || idx >= n_choices.(m)) then
+  (* Control deltas, read off the held-control replay: the select and
+     function writes that change a line, in ascending id order, and the
+     control-network energy of every line change (load edges
+     included). *)
+  let deltas (period : Schedule_model.step array) =
+    Array.mapi
+      (fun i (s : Schedule_model.step) ->
+        let sels = ref [] and ops = ref [] in
+        for id = max_id downto 0 do
+          if s.sel_changed.(id) then begin
+            let idx = s.sel.(id) in
+            if n_choices.(id) >= 0 && (idx < 0 || idx >= n_choices.(id)) then
               invalid_arg
                 (Printf.sprintf
                    "Compiled.compile: step %d selects choice %d on mux %d (%d \
                     choices)"
-                   step idx m n_choices.(m));
-            mux_sel.(m) <- idx;
-            Some (m, idx)
-          end)
-        word.Control.selects
-    in
-    let ops =
-      List.filter_map
-        (fun (a, op) ->
-          match alu_fn.(a) with
-          | Some prev when Op.equal prev op -> None
-          | Some _ | None ->
-              alu_fn.(a) <- Some op;
-              Some (a, op_code op))
-        word.Control.alu_ops
-    in
-    let loads = word.Control.loads in
-    let load_line_changes =
-      List.length (List.filter (fun x -> not (List.mem x !prev_loads)) loads)
-      + List.length (List.filter (fun x -> not (List.mem x loads)) !prev_loads)
-    in
-    prev_loads := loads;
-    let n = List.length sels + List.length ops + load_line_changes in
-    {
-      sc_sel = Array.of_list sels;
-      sc_ops = Array.of_list ops;
-      sc_ctrl_e = float_of_int n *. e_ctrl;
-    }
+                   (i + 1) idx id n_choices.(id));
+            sels := (id, idx) :: !sels
+          end;
+          match s.op.(id) with
+          | Some op when s.op_changed.(id) -> ops := (id, op_code op) :: !ops
+          | Some _ | None -> ()
+        done;
+        {
+          sc_sel = Array.of_list !sels;
+          sc_ops = Array.of_list !ops;
+          sc_ctrl_e = float_of_int s.control_changes *. e_ctrl;
+        })
+      period
   in
-  let compile_period () =
-    let dummy = { sc_sel = [||]; sc_ops = [||]; sc_ctrl_e = 0. } in
-    let arr = Array.make t_steps dummy in
-    for i = 0 to t_steps - 1 do
-      arr.(i) <- compile_step (i + 1)
-    done;
-    arr
-  in
-  let first_ctrl = compile_period () in
-  let steady_ctrl = compile_period () in
-  (* Per-step load and busy bitsets. *)
-  let loads_at = Array.make (t_steps + 1) [||] in
-  let busy_at = Array.make (t_steps + 1) [||] in
-  for step = 1 to t_steps do
-    let word = Control.word control ~step in
-    let ld = Array.make (max_id + 1) false in
-    List.iter (fun id -> ld.(id) <- true) word.Control.loads;
-    loads_at.(step) <- ld;
-    let bs = Array.make (max_id + 1) false in
-    List.iter (fun (id, _) -> bs.(id) <- true) word.Control.alu_ops;
-    busy_at.(step) <- bs
-  done;
+  let first_ctrl = deltas model.first in
+  let steady_ctrl = deltas model.steady in
+  let loads_at = Array.map (fun s -> s.Schedule_model.loads) model.steady in
+  let busy_at = Array.map (fun s -> s.Schedule_model.busy) model.steady in
   (* Combinational instruction stream. *)
   let instrs =
     Array.of_list
@@ -311,7 +271,7 @@ let compile tech design =
              (fun st ->
                if
                  st.st_gated || st.st_phase = phase
-                 || loads_at.(step).(st.st_id)
+                 || loads_at.(step - 1).(st.st_id)
                then Some st
                else None)
              stor_list)
@@ -320,19 +280,11 @@ let compile tech design =
   done;
   (* Input plumbing and output taps, as in the reference. *)
   let graph_inputs = Design.input_ports design in
-  let input_register v =
-    List.find_map
-      (fun (c, s) ->
-        if List.exists (Var.equal v) s.Comp.s_holds then Some (Comp.id c)
-        else None)
-      (Datapath.storages datapath)
-  in
   let reset =
     Array.of_list
-      (List.mapi
-         (fun col (v, port) ->
-           (col, port, Option.value (input_register v) ~default:(-1)))
-         graph_inputs)
+      (List.map
+         (fun (col, port, reg) -> (col, port, Option.value reg ~default:(-1)))
+         (Schedule_model.input_plumbing design))
   in
   let ports registered =
     Array.of_list
@@ -354,20 +306,13 @@ let compile tech design =
                else None)
              (Design.output_taps design)))
   in
-  let default_ops =
-    Array.of_list
-      (List.map
-         (fun (c, a) ->
-           (Comp.id c, op_code (List.hd (Op.Set.to_list a.Comp.a_fset))))
-         (Datapath.alus datapath))
-  in
   {
     clock;
     width;
     mask;
     t_steps;
     max_id;
-    comps;
+    comps = Datapath.comps datapath;
     graph_inputs;
     input_vars = Simulator.input_columns design;
     output_vars;
@@ -378,7 +323,8 @@ let compile tech design =
     steady_ctrl;
     loads_at;
     busy_at;
-    default_ops;
+    reset_ops =
+      Array.map (function Some op -> op_code op | None -> 0) model.reset_op;
     instrs;
     stors_at;
     taps_at;
@@ -457,7 +403,7 @@ let fresh_state k ~iterations row0 =
       s_ctrl_stamp = Array.make n 0;
       s_op_stamp = Array.make n 0;
       s_mux_sel = Array.make n 0;
-      s_alu_op = Array.make n 0;
+      s_alu_op = Array.copy k.reset_ops;
       s_alu_in_a = Array.make n 0;
       s_alu_in_b = Array.make n 0;
       s_alu_busy_prev = Array.make n false;
@@ -467,7 +413,6 @@ let fresh_state k ~iterations row0 =
       s_outputs = output_rows k iterations;
     }
   in
-  Array.iter (fun (id, code) -> st.s_alu_op.(id) <- code) k.default_ops;
   (* Reset: ports and input registers preloaded with the first
      computation's values (no energy charged). *)
   Array.iter
@@ -604,8 +549,8 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
       op_stamp.(alu_id) <- cycle
     done;
     charge cells total Activity.global_component cat_control sc.sc_ctrl_e;
-    let loads = k.loads_at.(step) in
-    let busy = k.busy_at.(step) in
+    let loads = k.loads_at.(step - 1) in
+    let busy = k.busy_at.(step - 1) in
     (* 3. Combinational propagation (skipping quiescent instructions). *)
     let instrs = k.instrs in
     for i = 0 to Array.length instrs - 1 do

@@ -137,8 +137,7 @@ let run ?(seed = 42) ?trace ?observer ?stimulus tech design ~iterations =
   let prev_loads = ref [] in
   (* Initialize default ALU functions. *)
   List.iter
-    (fun (c, a) ->
-      alu_fn.(Comp.id c) <- Some (List.hd (Op.Set.to_list a.Comp.a_fset)))
+    (fun (c, a) -> alu_fn.(Comp.id c) <- Some (Schedule_model.default_op a))
     (Datapath.alus datapath);
   (* Optional VCD tracing. *)
   let vcd_signals =
@@ -160,22 +159,9 @@ let run ?(seed = 42) ?trace ?observer ?stimulus tech design ~iterations =
           (List.map (fun (id, s) -> (s, values.(id))) vcd_signals)
     | Some _ | None -> ()
   in
-  (* Input plumbing: an input sampled into a dedicated register (its
-     storage element lists the variable among its held values) has its
-     port updated at the start of the final step, so the register
-     re-samples at that step's end and the next computation reads
-     stable values from cycle one.  Port-direct inputs update at the
-     start of step 1. *)
-  let input_register v =
-    List.find_map
-      (fun (c, s) ->
-        if List.exists (Var.equal v) s.Comp.s_holds then Some (Comp.id c)
-        else None)
-      (Datapath.storages datapath)
-  in
-  let input_plumbing =
-    List.mapi (fun col (v, port) -> (col, port, input_register v)) graph_inputs
-  in
+  (* Input plumbing: register-backed inputs update their port at the
+     start of the final step, port-direct ones at the start of step 1. *)
+  let input_plumbing = Schedule_model.input_plumbing design in
   let ins =
     materialize_stimulus ?stimulus rng ~inputs:graph_inputs ~width ~iterations
   in

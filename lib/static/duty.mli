@@ -8,13 +8,13 @@ val phase_ticks : phases:int -> phase:int -> cycles:int -> int
 (** Number of global cycles in [1, cycles] belonging to [phase] of an
     n-phase clock: the storage's duty window. *)
 
-val gating_toggles : Schedule_model.t -> iterations:int -> int -> int
+val gating_toggles : Mclock_rtl.Schedule_model.t -> iterations:int -> int -> int
 (** Exact enable-line edge count of storage [id] over the run. *)
 
 val charge :
   Mclock_tech.Library.t ->
   Mclock_rtl.Design.t ->
-  Schedule_model.t ->
+  Mclock_rtl.Schedule_model.t ->
   iterations:int ->
   into:Mclock_sim.Activity.t ->
   unit

@@ -111,17 +111,7 @@ let run mode tech design (model : Schedule_model.t) ~stimulus ~iterations =
   let is_storage = Array.make (max_id + 1) false in
   List.iter (fun (c, _) -> is_storage.(Comp.id c) <- true) storages;
   (* Input plumbing, as in the simulator. *)
-  let graph_inputs = Design.input_ports design in
-  let input_register v =
-    List.find_map
-      (fun (c, s) ->
-        if List.exists (Var.equal v) s.Comp.s_holds then Some (Comp.id c)
-        else None)
-      storages
-  in
-  let plumbing =
-    List.map (fun (v, port) -> (v, port, input_register v)) graph_inputs
-  in
+  let plumbing = Schedule_model.input_plumbing design in
   let p0 = Stim.signal_probability stimulus in
   let trans =
     match mode with

@@ -19,7 +19,7 @@ val run :
   Prob.mode ->
   Mclock_tech.Library.t ->
   Mclock_rtl.Design.t ->
-  Schedule_model.t ->
+  Mclock_rtl.Schedule_model.t ->
   stimulus:Mclock_sim.Stimulus.model ->
   iterations:int ->
   Mclock_sim.Activity.t

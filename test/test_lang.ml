@@ -162,17 +162,33 @@ let test_compile_errors () =
 
 (* Programs that parse and name-check but do not form a valid graph
    raise [Graph.Invalid], as [compile_string] documents: an input
-   declared as an output, and an output that only aliases an input. *)
+   declared as an output. *)
 let test_compile_unrealizable () =
   List.iter
     (fun src ->
       match Lang.Compile.compile_string src with
       | exception Graph.Invalid _ -> ()
       | _ -> fail ("accepted: " ^ src))
-    [
-      "behavior t\ninput x\noutput x\n";
-      "behavior t\ninput x\noutput y\ny := x\n";
-    ]
+    [ "behavior t\ninput x\noutput x\n" ]
+
+(* An output that only copies a primary input is rejected at its
+   assignment, naming the output (directly or through an alias). *)
+let test_compile_output_copies_input () =
+  let expect src ~line ~message =
+    match Lang.Compile.compile_string src with
+    | exception Lang.Compile.Error e ->
+        check Alcotest.int "line" line e.line;
+        check Alcotest.string "message" message e.message
+    | _ -> fail ("accepted: " ^ src)
+  in
+  expect "behavior t\ninput x\noutput y\ny := x\n" ~line:4
+    ~message:
+      "output y only copies input x; an output must be computed by an \
+       operation";
+  expect "behavior t\ninput x, b\noutput y\na := x\ny := a\n" ~line:5
+    ~message:
+      "output y only copies input x; an output must be computed by an \
+       operation"
 
 (* --- End to end: language -> schedule -> design -> verified ------------------- *)
 
@@ -233,6 +249,7 @@ let suite =
     ("compile diffeq", `Quick, test_compile_diffeq);
     ("compile CSE shares", `Quick, test_compile_cse_shares);
     ("compile alias", `Quick, test_compile_alias);
+    ("compile output copying an input rejected", `Quick, test_compile_output_copies_input);
     ("compile constant fold", `Quick, test_compile_constant_fold);
     ("compile errors", `Quick, test_compile_errors);
     ("compile unrealizable raises Graph.Invalid", `Quick,

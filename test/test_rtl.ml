@@ -162,15 +162,106 @@ let test_control_wraps () =
   check Alcotest.(list int) "step 3 = step 1 loads" [ 2 ] (Control.loads c ~step:3);
   check Alcotest.(option int) "select wrap" (Some 0) (Control.select c ~step:3 ~mux:1)
 
-let test_control_changes_between () =
-  let w1 = { Control.selects = [ (1, 0); (2, 1) ]; loads = [ 5 ]; alu_ops = [ (9, Op.Add) ] } in
-  let w2 = { Control.selects = [ (1, 1); (2, 1) ]; loads = [ 6 ]; alu_ops = [ (9, Op.Sub) ] } in
-  (* changed: select of mux 1, load 5 off, load 6 on, op of 9 -> 4. *)
-  check Alcotest.int "changes" 4 (Control.changes_between w1 w2)
-
 let test_control_empty_rejected () =
   Alcotest.check_raises "empty" (Invalid_argument "Control.create: no control words")
     (fun () -> ignore (Control.create []))
+
+let test_control_duplicate_rejected () =
+  let ok = Control.empty_word in
+  let raises what word =
+    Alcotest.check_raises what (Invalid_argument what) (fun () ->
+        ignore (Control.create [ ok; word ]))
+  in
+  raises "Control.create: step 2 assigns mux 3 twice"
+    { ok with Control.selects = [ (3, 0); (4, 1); (3, 1) ] };
+  raises "Control.create: step 2 assigns load 5 twice"
+    { ok with Control.loads = [ 5; 6; 5 ] };
+  raises "Control.create: step 2 assigns ALU 9 twice"
+    { ok with Control.alu_ops = [ (9, Op.Add); (9, Op.Add) ] };
+  (* The same id on different kinds of line is not a clash. *)
+  ignore
+    (Control.create
+       [ { Control.selects = [ (3, 1) ]; loads = [ 3 ]; alu_ops = [ (3, Op.Sub) ] } ])
+
+(* --- Schedule replay ------------------------------------------------------- *)
+
+(* A hand-built two-step design: step 1 reselects the mux, switches the
+   ALU from its reset function and loads [r]; step 2 assigns nothing,
+   so every line holds.  Input [a] is sampled into register [ra]. *)
+let test_schedule_model_replay () =
+  let dp = Datapath.create ~width:4 in
+  let a = Datapath.add_input dp (Var.v "a") in
+  let b = Datapath.add_input dp (Var.v "b") in
+  let ra =
+    Datapath.add_storage dp ~name:"ra" ~kind:Mclock_tech.Library.Register
+      ~phase:1 ~input:(Comp.From_comp a) ~gated:false ~holds:[ Var.v "a" ]
+  in
+  let m =
+    Datapath.add_mux dp ~name:"m" ~phase:1
+      ~choices:[| Comp.From_comp ra; Comp.From_comp b |]
+  in
+  let fset = Op.Set.of_list [ Op.Sub; Op.Add ] in
+  let alu =
+    Datapath.add_alu dp ~name:"alu" ~fset ~phase:1 ~src_a:(Comp.From_comp m)
+      ~src_b:(Some (Comp.From_comp b)) ~isolated:false ~ops:[]
+  in
+  let r =
+    Datapath.add_storage dp ~name:"r" ~kind:Mclock_tech.Library.Register
+      ~phase:1 ~input:(Comp.From_comp alu) ~gated:false ~holds:[ Var.v "y" ]
+  in
+  let control =
+    Control.create
+      [
+        { Control.selects = [ (m, 1) ]; loads = [ r ]; alu_ops = [ (alu, Op.Sub) ] };
+        Control.empty_word;
+      ]
+  in
+  let design =
+    Design.create ~name:"replay" ~behaviour:"replay" ~datapath:dp ~control
+      ~clock:(Clock.create ~phases:1 ~frequency:1e6)
+      ~style:Design.conventional_style
+      ~input_ports:[ (Var.v "a", a); (Var.v "b", b) ]
+      ~output_taps:[]
+  in
+  let model = Schedule_model.build design in
+  let op = Alcotest.testable Op.pp Op.equal in
+  let alu_comp =
+    match Comp.kind (Datapath.comp dp alu) with
+    | Comp.Alu x -> x
+    | _ -> fail "not an ALU"
+  in
+  check op "default op: first of the set" Op.Add
+    (Schedule_model.default_op alu_comp);
+  check Alcotest.(option op) "reset op" (Some Op.Add) model.reset_op.(alu);
+  check
+    Alcotest.(list (triple int int (option int)))
+    "input plumbing" [ (0, a, Some ra); (1, b, None) ]
+    (Schedule_model.input_plumbing design);
+  let expect label (s : Schedule_model.step) ~sel_changed ~op_changed ~busy
+      ~load ~changes =
+    check Alcotest.int (label ^ " held select") 1 s.sel.(m);
+    check Alcotest.bool (label ^ " select changed") sel_changed s.sel_changed.(m);
+    check Alcotest.(option op) (label ^ " held op") (Some Op.Sub) s.op.(alu);
+    check Alcotest.bool (label ^ " op changed") op_changed s.op_changed.(alu);
+    check Alcotest.bool (label ^ " busy") busy s.busy.(alu);
+    check Alcotest.bool (label ^ " load") load s.loads.(r);
+    check Alcotest.int (label ^ " control changes") changes s.control_changes
+  in
+  (* From reset: select 0 -> 1, Add -> Sub and the load edge. *)
+  expect "first 1" model.first.(0) ~sel_changed:true ~op_changed:true
+    ~busy:true ~load:true ~changes:3;
+  expect "first 2" model.first.(1) ~sel_changed:false ~op_changed:false
+    ~busy:false ~load:false ~changes:1;
+  (* Every later period: the held lines no longer change, only the
+     load-enable toggles. *)
+  expect "steady 1" model.steady.(0) ~sel_changed:false ~op_changed:false
+    ~busy:true ~load:true ~changes:1;
+  expect "steady 2" model.steady.(1) ~sel_changed:false ~op_changed:false
+    ~busy:false ~load:false ~changes:1;
+  check Alcotest.bool "cycle 2 is first" true
+    (Schedule_model.step_at model ~cycle:2 == model.first.(1));
+  check Alcotest.bool "cycle 5 is steady" true
+    (Schedule_model.step_at model ~cycle:5 == model.steady.(0))
 
 (* --- Full designs (via the allocator) and checkers ------------------------- *)
 
@@ -345,8 +436,9 @@ let suite =
     ("datapath storage feedback ok", `Quick, test_datapath_storage_feedback_allowed);
     ("datapath rejects tiny mux", `Quick, test_datapath_rejects_tiny_mux);
     ("control wraps", `Quick, test_control_wraps);
-    ("control changes_between", `Quick, test_control_changes_between);
     ("control empty rejected", `Quick, test_control_empty_rejected);
+    ("control duplicate assignment rejected", `Quick, test_control_duplicate_rejected);
+    ("schedule model replay from reset", `Quick, test_schedule_model_replay);
     ("checkers pass on allocator output", `Quick, test_check_clean_designs);
     ("checker catches partition violation", `Quick, test_check_catches_partition_violation);
     ("checker catches latch R/W", `Quick, test_check_catches_latch_rw);
