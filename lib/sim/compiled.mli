@@ -11,6 +11,16 @@
     {!Simulator.run} stays as the reference oracle; the differential
     tests pin the equivalence down across the workload catalog. *)
 
+val op_code : Mclock_dfg.Op.t -> int
+(** The kernel's integer code of an ALU function. *)
+
+val eval_code : int -> int -> int -> int -> int
+(** [eval_code code a b mask] evaluates the coded function on raw
+    payloads masked to the datapath width ([mask = 2^width - 1]),
+    exactly as {!Mclock_dfg.Op.eval} does on bit vectors; unary
+    functions ignore [b].  Returns an int, so a caller in another
+    module evaluates without allocating. *)
+
 type t
 
 val compile : Mclock_tech.Library.t -> Mclock_rtl.Design.t -> t

@@ -21,7 +21,7 @@ type t = {
   b_energy_pj : float;  (** worst-case energy per computation *)
 }
 
-let run ?(stimulus = Stimulus.Uniform) ?(iterations = 500) tech design =
+let run ?(stimulus = Stimulus.Uniform) ~iterations tech design =
   let model = Schedule_model.build design in
   let cycles = iterations * model.Schedule_model.t_steps in
   let sim_time_s = float_of_int cycles *. Clock.period (Design.clock design) in
@@ -32,8 +32,8 @@ let run ?(stimulus = Stimulus.Uniform) ?(iterations = 500) tech design =
     Duty.charge tech design model ~iterations ~into:activity;
     activity
   in
-  let estimate = mode_activity Prob.Estimate in
-  let bound = mode_activity Prob.Bound in
+  let estimate = mode_activity Propagate.Estimate in
+  let bound = mode_activity Propagate.Bound in
   let power act = Activity.total act *. 1e-12 /. sim_time_s *. 1e3 in
   let energy act = Activity.total act /. float_of_int iterations in
   {

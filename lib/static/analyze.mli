@@ -25,9 +25,9 @@ type t = {
 
 val run :
   ?stimulus:Mclock_sim.Stimulus.model ->
-  ?iterations:int ->
+  iterations:int ->
   Mclock_tech.Library.t ->
   Mclock_rtl.Design.t ->
   t
-(** Defaults: [stimulus = Uniform], [iterations = 500] (matching
-    {!Mclock_power.Report.evaluate}). *)
+(** Analyze [iterations] computations under [stimulus] (default
+    [Uniform]). *)

@@ -5,18 +5,18 @@
     over the {0, 1/2, 1} pinned/unknown abstract domain, yielding a
     worst-case charge that dominates any simulation run. *)
 
-val op_output :
-  Prob.mode ->
-  Mclock_dfg.Op.t ->
-  width:int ->
-  float array ->
-  float array ->
-  float array
-(** Per-bit output signal probabilities of one ALU evaluation; exact
-    constant folding when every operand bit is pinned. *)
+type mode =
+  | Estimate
+      (** real probabilities under an independence assumption *)
+  | Bound
+      (** the three-point abstract domain ({0, 1} = proven constants,
+          0.5 = unknown) for signal values and {0, 1} may-toggle
+          indicators for transitions.  Every combinator is worst-case
+          correct and pointwise dominates its [Estimate] counterpart,
+          which is the construction behind [estimate <= b_power]. *)
 
 val run :
-  Prob.mode ->
+  mode ->
   Mclock_tech.Library.t ->
   Mclock_rtl.Design.t ->
   Mclock_rtl.Schedule_model.t ->
@@ -25,4 +25,5 @@ val run :
   Mclock_sim.Activity.t
 (** Full-unroll propagation over all [iterations * t_steps] cycles,
     charging the data-dependent categories only (combine with
-    {!Duty.charge} for the complete picture). *)
+    {!Duty.charge} for the complete picture).  The design is compiled
+    into flat arrays once per call; the cycle loop allocates nothing. *)

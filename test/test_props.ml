@@ -1,7 +1,8 @@
 (* Property-based tests (QCheck) on the core data structures and
    invariants: bit-vector algebra, left-edge optimality, clock
    non-overlap, partition arithmetic, schedulers, transfers, the full
-   allocation flow on random scheduled DFGs, and the two decoders
+   allocation flow on random scheduled DFGs, the static analyzer's
+   certified bound over every operation, and the two decoders
    through which outside bytes enter the evaluation cache: the store's
    entry decoder and the simulation checkpoint decoder, the
    constraint, objective and stimulus grammars, and the behaviour and
@@ -341,6 +342,61 @@ let prop_conventional_flow_functional =
           r.Generator.graph
       in
       Mclock_sim.Verify.ok report)
+
+(* --- Static analysis soundness over every operation --------------------------- *)
+
+(* The certified bound dominates simulation (and the estimate) on random
+   DFGs over the whole operation alphabet — shifts, division and
+   comparisons included, which the catalog never uses — at datapath
+   widths 1-6, under every design style and stimulus model. *)
+let prop_static_bound_sound_all_ops =
+  Q.Test.make ~name:"static bound sound over Op.all" ~count:100 Q.small_nat
+    (fun seed ->
+      let open Mclock_core in
+      let rng = Mclock_util.Rng.create seed in
+      let spec =
+        {
+          Generator.name = "ops";
+          layers = 2 + Mclock_util.Rng.int rng 3;
+          width = 2 + Mclock_util.Rng.int rng 2;
+          num_inputs = 2 + Mclock_util.Rng.int rng 2;
+          ops = Op.all;
+        }
+      in
+      let r = Generator.generate rng spec in
+      let params =
+        { Flow.default_params with Flow.width = 1 + Mclock_util.Rng.int rng 6 }
+      in
+      let stimuli =
+        Mclock_sim.Stimulus.
+          [
+            Uniform;
+            Correlated (float_of_int (Mclock_util.Rng.int rng 101) /. 100.);
+            Ramp (Mclock_util.Rng.int rng 64);
+            Constant;
+          ]
+      in
+      List.for_all
+        (fun method_ ->
+          let design =
+            Flow.synthesize ~params ~method_ ~name:"ops" (schedule_of r)
+          in
+          List.for_all
+            (fun stimulus ->
+              let a =
+                Mclock_static.Analyze.run ~stimulus ~iterations:12
+                  params.Flow.tech design
+              in
+              (Mclock_static.Report.compare_with_simulation ~seed
+                 params.Flow.tech design r.Generator.graph a)
+                .Mclock_static.Report.sound)
+            stimuli)
+        [
+          Flow.Conventional_non_gated;
+          Flow.Conventional_gated;
+          Flow.Integrated 2;
+          Flow.Split 2;
+        ])
 
 (* --- Store entry decoder -------------------------------------------------------- *)
 
@@ -685,6 +741,7 @@ let suite =
       prop_resched_preserves_validity;
       prop_mux_aware_binding_functional;
       prop_conventional_flow_functional;
+      prop_static_bound_sound_all_ops;
       prop_decode_entry_hostile;
       prop_decode_entry_mutated;
       prop_decode_entry_truncated;

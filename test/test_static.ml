@@ -262,9 +262,125 @@ let test_constant_stimulus_bound_tight () =
             (Rtl.Datapath.storages (Rtl.Design.datapath d)))
     (Rtl.Design.input_ports d)
 
+(* Random DFGs over every operation at datapath widths 1-6: the catalog
+   never uses shifts, division or comparisons, so these are what reach
+   the per-operation rules and the constant-folding path beyond
+   add/sub/mul/and/or/xor. *)
+let generated_designs () =
+  let rng = Mclock_util.Rng.create 29 in
+  let flow_methods =
+    [|
+      Flow.Conventional_non_gated;
+      Flow.Conventional_gated;
+      Flow.Integrated 2;
+      Flow.Split 2;
+    |]
+  in
+  List.map
+    (fun i ->
+      let spec =
+        {
+          Mclock_dfg.Generator.name = Printf.sprintf "gen%d" i;
+          layers = 2 + Mclock_util.Rng.int rng 3;
+          width = 2 + Mclock_util.Rng.int rng 2;
+          num_inputs = 2 + Mclock_util.Rng.int rng 2;
+          ops = Mclock_dfg.Op.all;
+        }
+      in
+      let r = Mclock_dfg.Generator.generate rng spec in
+      let s =
+        Mclock_sched.Schedule.create r.Mclock_dfg.Generator.graph
+          r.Mclock_dfg.Generator.steps
+      in
+      let params = { Flow.default_params with Flow.width = 1 + (i mod 6) } in
+      Flow.synthesize ~params ~method_:flow_methods.(i mod 4)
+        ~name:spec.Mclock_dfg.Generator.name s)
+    (Mclock_util.List_ext.range 0 39)
+
+(* The analyzer's exact bits: an MD5 over the [%h] rendering of every
+   estimate and bound cell and both totals, across the catalog, the
+   generated designs, every stimulus model and run lengths that cover
+   the first period alone (1), the switch to the steady period (3) and
+   a long steady run (40).  Any change to the propagation's float
+   expressions or charge order moves the digest.  The committed value
+   was produced by the list-walking engine that preceded the flat-array
+   one, and the flat-array engine reproduces it. *)
+let analyzer_bits_digest = "17cef2680e13b0e34add718d8b7457d3"
+
+let test_analyzer_bits_pinned () =
+  let buf = Buffer.create (1 lsl 20) in
+  let stimuli =
+    [ Stimulus.Uniform; Stimulus.Correlated 0.3; Stimulus.Ramp 3; Stimulus.Constant ]
+  in
+  let designs =
+    List.concat_map
+      (fun w -> List.map (fun (_, m) -> synth w m) methods)
+      Catalog.all
+    @ generated_designs ()
+  in
+  List.iter
+    (fun d ->
+      let max_comp = max_comp_id d in
+      List.iter
+        (fun stimulus ->
+          List.iter
+            (fun iterations ->
+              let a = Static.Analyze.run ~stimulus ~iterations tech d in
+              List.iter
+                (fun act ->
+                  for comp = 0 to max_comp do
+                    List.iter
+                      (fun category ->
+                        Printf.bprintf buf "%h " (Activity.get act ~comp ~category))
+                      Activity.all_categories
+                  done;
+                  Printf.bprintf buf "%h\n" (Activity.total act))
+                [ a.Static.Analyze.estimate; a.Static.Analyze.bound ])
+            [ 1; 3; 40 ])
+        stimuli)
+    designs;
+  check Alcotest.string "analyzer digest" analyzer_bits_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* The propagation's cycle loop allocates nothing: per-bit state is
+   flat float arrays, sources are offsets resolved once per run, and
+   the combinators and charges are same-module inlined float code.
+   What a run still allocates is its compiled design and result, fixed
+   per run.  Measured on ewf/mc2: 0.00 words per extra cycle in both
+   modes; the list-walking engine this replaced allocated 2,733
+   (estimate) and 2,327 (bound) per cycle, from boxed combinator
+   results, source-view tuples, [Array.init] closures and charges. *)
+let test_propagation_allocation_free () =
+  let d = synth Mclock_workloads.Ewf.t (Flow.Integrated 2) in
+  let model = Rtl.Schedule_model.build d in
+  List.iter
+    (fun (label, mode) ->
+      let words iterations =
+        let before = Gc.minor_words () in
+        ignore
+          (Sys.opaque_identity
+             (Static.Propagate.run mode tech d model ~stimulus:Stimulus.Uniform
+                ~iterations));
+        Gc.minor_words () -. before
+      in
+      ignore (words 100);
+      let w1 = words 100 in
+      let w2 = words 200 in
+      let per_cycle =
+        (w2 -. w1) /. float_of_int (100 * model.Rtl.Schedule_model.t_steps)
+      in
+      if per_cycle > 1. then
+        Alcotest.failf
+          "%s: %.2f words allocated per extra propagated cycle (bound 1)" label
+          per_cycle)
+    [ ("estimate", Static.Propagate.Estimate); ("bound", Static.Propagate.Bound) ]
+
 let suite =
   [
     Alcotest.test_case "ramp rates exact" `Quick test_ramp_rates;
+    Alcotest.test_case "propagation allocates nothing per cycle" `Quick
+      test_propagation_allocation_free;
+    Alcotest.test_case "analyzer bits pinned" `Quick test_analyzer_bits_pinned;
     Alcotest.test_case "stimulus stats" `Quick test_stimulus_stats;
     Alcotest.test_case "stimulus parse" `Quick test_stimulus_parse;
     Alcotest.test_case "exact categories" `Slow test_exact_categories;
