@@ -169,6 +169,28 @@ let trace_summary_arg =
          ~doc:"Print a per-span timing table and all non-zero counters \
                to stderr when the run finishes.")
 
+let or_die = function
+  | Ok v -> v
+  | Error msg ->
+      Fmt.epr "mclock: %s@." msg;
+      exit 1
+
+(* Every file the CLI writes goes through here, then "wrote PATH" on
+   [ppf].  An unwritable path is a user error ("mclock: PATH: reason",
+   exit 1), not an internal one.  The explicit close surfaces a failed
+   final flush, which [with_open_text]'s own cleanup would swallow. *)
+let write_file ppf path contents =
+  (try
+     Out_channel.with_open_text path (fun oc ->
+         Out_channel.output_string oc contents;
+         Out_channel.close oc)
+   with Sys_error msg ->
+     let prefix = path ^ ": " in
+     or_die
+       (Error
+          (if String.starts_with ~prefix msg then msg else prefix ^ msg)));
+  Fmt.pf ppf "wrote %s@." path
+
 (* Tracing brackets a whole subcommand.  [f] must RETURN (exit codes
    are decided by the caller afterwards): [exit] would skip the
    Fun.protect finalizer and lose the trace file.  Trace output goes
@@ -181,10 +203,7 @@ let with_tracing ~name ~trace ~trace_summary f =
       let events = Mclock_obs.Obs.stop () in
       Option.iter
         (fun path ->
-          let oc = open_out path in
-          output_string oc (Mclock_obs.Obs.to_chrome_json events);
-          close_out oc;
-          Fmt.epr "wrote %s@." path)
+          write_file Fmt.stderr path (Mclock_obs.Obs.to_chrome_json events))
         trace;
       if trace_summary then prerr_string (Mclock_obs.Obs.summary events)
     in
@@ -197,12 +216,6 @@ let method_of = function
   | `Gated, _ -> Mclock_core.Flow.Conventional_gated
   | `Mc, n -> Mclock_core.Flow.Integrated n
   | `Split, n -> Mclock_core.Flow.Split n
-
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-      Fmt.epr "mclock: %s@." msg;
-      exit 1
 
 (* Uniform validation of count-like options: every subcommand rejects a
    zero or negative value the same way — a usage error on stderr and
@@ -304,12 +317,7 @@ let synth_cmd =
          "verified against golden model"
        else "MISMATCH");
     print_endline (Mclock_power.Report.render_category_breakdown report);
-    let write path contents =
-      let oc = open_out path in
-      output_string oc contents;
-      close_out oc;
-      Fmt.pr "wrote %s@." path
-    in
+    let write = write_file Fmt.stdout in
     Option.iter (fun p -> write p (Mclock_rtl.Vhdl.emit design)) vhdl;
     Option.iter (fun p -> write p (Mclock_rtl.Verilog.emit design)) verilog;
     Option.iter
@@ -585,10 +593,7 @@ let objective_arg =
 
 (* Shared by explore and search so both emit documents identically. *)
 let write_doc path json =
-  let oc = open_out path in
-  output_string oc (Mclock_util.Json.to_string_pretty json ^ "\n");
-  close_out oc;
-  Fmt.epr "wrote %s@." path
+  write_file Fmt.stderr path (Mclock_util.Json.to_string_pretty json ^ "\n")
 
 let parse_constraints constraints =
   List.map

@@ -85,7 +85,6 @@ let create ?jobs () =
       List.init jobs (fun i -> Domain.spawn (fun () -> worker_loop t (i + 1)));
   t
 
-let jobs t = t.jobs
 let registry t = t.obs
 
 let shutdown t =

@@ -30,8 +30,6 @@ val create : ?jobs:int -> unit -> t
     none and runs every task inline). Default: {!default_jobs}. Raises
     [Invalid_argument] on [jobs < 1]. *)
 
-val jobs : t -> int
-
 val registry : t -> Mclock_obs.Registry.t
 (** The pool's metrics registry (name ["pool"]): counters [tasks] (one
     per task run), [wall_us] (wall-clock microseconds inside tasks) and

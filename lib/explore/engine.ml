@@ -8,12 +8,15 @@
                     domain; the static bound/estimate analysis makes
                     this the dominant cost of a cold exploration;
    3. prune       — constraint check on exact pre-simulation bounds;
-   4. cache       — digest + lookup on the submitting domain, so hit
-                    bookkeeping never races;
-   5. simulate    — only the misses, fanned out on the pool; results
-                    reduced in submission order (jobs-invariant);
-   6. store       — write-back of fresh results (failures tolerated);
-   7. frontier    — Pareto over evaluated, functionally-OK cells.
+   4. evaluate    — [evaluate_at], the one path every evaluated cell
+                    takes, for [explore] and the halving rungs alike:
+                    digest + lookup on the submitting domain (so hit
+                    bookkeeping never races), the misses simulated on
+                    the pool and reduced in submission order
+                    (jobs-invariant), fresh results written back
+                    (failures tolerated);
+   5. frontier    — Pareto over evaluated, functionally-OK cells, with
+                    the pruned cells back in enumeration order.
 
    The frontier can therefore never depend on the cache state: a hit
    returns bit-identical metrics to the simulation that populated it
@@ -37,7 +40,6 @@ type stats = {
   enumerated : int;
   pruned : int;
   cache_hits : int;
-  cache_misses : int;
   simulated : int;
   store_failures : int;
 }
@@ -136,7 +138,7 @@ let cell_key space ~seed ~iterations p =
       iterations;
     }
 
-(* --- Partial-fidelity evaluation --------------------------------------- *)
+(* --- Cell evaluation ------------------------------------------------------ *)
 
 type rung_stats = {
   rs_cache_hits : int;
@@ -145,7 +147,22 @@ type rung_stats = {
   rs_resumed_iterations : int;
   rs_fresh_iterations : int;
   rs_checkpoints_written : int;
+  rs_store_failures : int;
 }
+
+let metrics c =
+  match c.status with
+  | Cached m | Simulated m -> m
+  | Pruned _ -> invalid_arg "Engine.metrics: pruned cell"
+
+let cell_of p ~key status =
+  {
+    config = p.p_config;
+    cell_label = p.p_label;
+    key;
+    bounds = p.p_bounds;
+    status;
+  }
 
 (* Evaluate [cells] at a fidelity rung.  [resume_from] is the ladder
    of lower iteration counts whose checkpoint sidecars are worth
@@ -162,26 +179,31 @@ let evaluate_at ~pool ?cache ?(resume_from = []) ?(checkpoints = false) ~seed
     List.sort_uniq (fun a b -> compare b a) resume_from
     |> List.filter (fun k -> k > 0 && k < iterations)
   in
+  (* Store counters accumulate across runs sharing a store (e.g. a
+     cold/warm pair); snapshot so the stats report only this call's
+     failures. *)
+  let store_failures () =
+    match cache with
+    | None -> 0
+    | Some store -> (Store.stats store).Store.store_failures
+  in
+  let failures_before = store_failures () in
   let looked =
     List.map
       (fun p ->
         let key = cell_key space ~seed ~iterations p in
-        let hit =
-          match cache with
-          | None -> None
-          | Some store -> Store.find store ~key
-        in
-        let blob =
-          match (hit, cache) with
-          | Some _, _ | _, None -> None
-          | None, Some store ->
-              List.find_map
-                (fun k ->
-                  let k_key = cell_key space ~seed ~iterations:k p in
-                  Store.find_checkpoint store ~key:k_key)
-                ladder
-        in
-        (p, key, hit, blob))
+        match Option.bind cache (fun store -> Store.find store ~key) with
+        | Some m -> (p, key, Some m, None)
+        | None ->
+            let blob =
+              Option.bind cache (fun store ->
+                  List.find_map
+                    (fun k ->
+                      let k_key = cell_key space ~seed ~iterations:k p in
+                      Store.find_checkpoint store ~key:k_key)
+                    ladder)
+            in
+            (p, key, None, blob))
       cells
   in
   let misses =
@@ -197,7 +219,7 @@ let evaluate_at ~pool ?cache ?(resume_from = []) ?(checkpoints = false) ~seed
         let p, _, _ = misses_arr.(i) in
         Printf.sprintf "%s/%s@%d" space.sp_name p.p_label iterations)
       (fun _ (p, key, blob) ->
-        Mclock_obs.Obs.with_span ~cat:"explore" ~name:"explore.evaluate"
+        Mclock_obs.Obs.with_span ~cat:"explore" ~name:"explore.simulate"
           ~attrs:
             [
               ("config", p.p_label);
@@ -205,27 +227,23 @@ let evaluate_at ~pool ?cache ?(resume_from = []) ?(checkpoints = false) ~seed
               ("iterations", string_of_int iterations);
             ]
         @@ fun () ->
-        let evaluate ?resume_from () =
+        let simulate ?resume_from () =
           Mclock_power.Report.evaluate_resumable ~seed ~iterations ?resume_from
             ~label:p.p_label space.sp_tech p.p_design space.sp_graph
         in
         (* A checkpoint that fails to decode, or decodes but does not
            fit this design/fidelity, degrades to a fresh run — the
            cache can make evaluation faster, never wrong. *)
-        let report, ck, resumed_from =
+        let resume_ck =
           match Option.map Mclock_sim.Compiled.Checkpoint.decode blob with
-          | Some (Ok ck) -> (
-              match evaluate ~resume_from:ck () with
-              | report, ck' ->
-                  ( report,
-                    ck',
-                    Some (Mclock_sim.Compiled.checkpoint_iterations ck) )
-              | exception Invalid_argument _ ->
-                  let report, ck' = evaluate () in
-                  (report, ck', None))
-          | Some (Error _) | None ->
-              let report, ck' = evaluate () in
-              (report, ck', None)
+          | Some (Ok ck) -> Some ck
+          | Some (Error _) | None -> None
+        in
+        let (report, ck), resumed_from =
+          match Option.map (fun ck -> simulate ~resume_from:ck ()) resume_ck with
+          | Some r ->
+              (r, Option.map Mclock_sim.Compiled.checkpoint_iterations resume_ck)
+          | None | (exception Invalid_argument _) -> (simulate (), None)
         in
         let metrics =
           Metrics.of_report ~config:p.p_config ~tech:space.sp_tech
@@ -240,53 +258,41 @@ let evaluate_at ~pool ?cache ?(resume_from = []) ?(checkpoints = false) ~seed
       misses
   in
   (* Write-back on the submitting domain. *)
-  let checkpoints_written = ref 0 in
-  (match cache with
-  | None -> ()
-  | Some store ->
+  Option.iter
+    (fun store ->
       List.iter2
         (fun (_, key, _) (m, encoded, _) ->
           Store.store store ~key m;
-          match encoded with
-          | Some blob ->
-              Store.store_checkpoint store ~key blob;
-              incr checkpoints_written
-          | None -> ())
-        misses fresh);
+          Option.iter (Store.store_checkpoint store ~key) encoded)
+        misses fresh)
+    cache;
   (* Stitch hits and fresh results back into input order. *)
-  let fresh_q = ref fresh in
-  let metrics =
-    List.map
-      (fun (_, _, hit, _) ->
-        match hit with
-        | Some m -> m
-        | None -> (
-            match !fresh_q with
-            | (m, _, _) :: rest ->
-                fresh_q := rest;
-                m
-            | [] -> assert false))
-      looked
+  let rec stitch looked fresh =
+    match (looked, fresh) with
+    | [], _ -> []
+    | (p, key, Some m, _) :: looked, _ ->
+        cell_of p ~key (Cached m) :: stitch looked fresh
+    | (p, key, None, _) :: looked, (m, _, _) :: fresh ->
+        cell_of p ~key (Simulated m) :: stitch looked fresh
+    | (_, _, None, _) :: _, [] -> assert false
   in
-  let resumed, resumed_iterations =
-    List.fold_left
-      (fun (n, iters) (_, _, resumed_from) ->
-        match resumed_from with
-        | Some k -> (n + 1, iters + k)
-        | None -> (n, iters))
-      (0, 0) fresh
-  in
+  let resumed_runs = List.filter_map (fun (_, _, r) -> r) fresh in
+  let resumed_iterations = List.fold_left ( + ) 0 resumed_runs in
   let n_misses = List.length misses in
-  ( metrics,
+  ( stitch looked fresh,
     {
       rs_cache_hits = List.length cells - n_misses;
       rs_simulated = n_misses;
-      rs_resumed = resumed;
+      rs_resumed = List.length resumed_runs;
       rs_resumed_iterations = resumed_iterations;
       rs_fresh_iterations = (n_misses * iterations) - resumed_iterations;
-      rs_checkpoints_written = !checkpoints_written;
+      rs_checkpoints_written = (if want_ckpt then n_misses else 0);
+      rs_store_failures = store_failures () - failures_before;
     } )
 
+(* Prune on certified bounds, evaluate the admissible cells through
+   [evaluate_at] at full fidelity, and put the pruned cells back in
+   enumeration order. *)
 let explore ~pool ?cache ?(constraints = []) ?(seed = 42) ?(iterations = 400)
     ?(max_clocks = 4) ?tech ?width ~name ~sched_constraints graph =
   Mclock_obs.Obs.with_span ~cat:"explore" ~name:"explore"
@@ -297,90 +303,28 @@ let explore ~pool ?cache ?(constraints = []) ?(seed = 42) ?(iterations = 400)
         ("iterations", string_of_int iterations);
       ]
   @@ fun () ->
-  (* Counters accumulate across runs sharing a store (e.g. a cold/warm
-     pair); snapshot so this result reports only its own failures. *)
-  let store_failures_before =
-    match cache with
-    | None -> 0
-    | Some store -> (Store.stats store).Store.store_failures
-  in
   let space =
     prepare ?tech ?width ~max_clocks ~iterations ~name ~sched_constraints graph
   in
-  let tech = space.sp_tech in
-  (* Prune, then split survivors into cache hits and misses. *)
-  let cells_pre =
+  let verdicts =
     List.map
-      (fun p ->
-        let key = cell_key space ~seed ~iterations p in
-        match Metrics.violated ~constraints p.p_bounds with
-        | _ :: _ as v -> (p, key, `Pruned v)
-        | [] -> (
-            match cache with
-            | None -> (p, key, `Miss)
-            | Some store -> (
-                match Store.find store ~key with
-                | Some m -> (p, key, `Hit m)
-                | None -> (p, key, `Miss))))
+      (fun p -> (p, Metrics.violated ~constraints p.p_bounds))
       space.sp_cells
   in
-  let misses =
-    List.filter_map
-      (function p, key, `Miss -> Some (p, key) | _ -> None)
-      cells_pre
+  let admissible =
+    List.filter_map (function p, [] -> Some p | _ -> None) verdicts
   in
-  (* Fan the misses out; submission order is enumeration order, so the
-     reduced list is jobs-invariant. *)
-  let misses_arr = Array.of_list misses in
-  let fresh =
-    Mclock_exec.Pool.map pool
-      ~label:(fun i ->
-        let p, _ = misses_arr.(i) in
-        Printf.sprintf "%s/%s" name p.p_label)
-      (fun _ (p, key) ->
-        Mclock_obs.Obs.with_span ~cat:"explore" ~name:"explore.simulate"
-          ~attrs:
-            [
-              ("config", p.p_label);
-              ("key", key);
-              ("iterations", string_of_int iterations);
-            ]
-        @@ fun () ->
-        let report =
-          Mclock_power.Report.evaluate ~seed ~iterations ~label:p.p_label tech
-            p.p_design graph
-        in
-        Metrics.of_report ~config:p.p_config ~tech
-          ~latency_steps:(Mclock_rtl.Design.num_steps p.p_design)
-          report)
-      misses
+  let evaluated, rs = evaluate_at ~pool ?cache ~seed ~iterations space admissible in
+  let rec merge verdicts evaluated =
+    match (verdicts, evaluated) with
+    | [], _ -> []
+    | (p, (_ :: _ as v)) :: verdicts, _ ->
+        cell_of p ~key:(cell_key space ~seed ~iterations p) (Pruned v)
+        :: merge verdicts evaluated
+    | (_, []) :: verdicts, c :: evaluated -> c :: merge verdicts evaluated
+    | (_, []) :: _, [] -> assert false
   in
-  (* Write-back on the submitting domain. *)
-  (match cache with
-  | None -> ()
-  | Some store ->
-      List.iter2
-        (fun (_, key) metrics -> Store.store store ~key metrics)
-        misses fresh);
-  (* Stitch results back into enumeration order. *)
-  let fresh_q = ref fresh in
-  let cells =
-    List.map
-      (fun (p, key, tag) ->
-        let status =
-          match tag with
-          | `Pruned v -> Pruned v
-          | `Hit m -> Cached m
-          | `Miss -> (
-              match !fresh_q with
-              | m :: rest ->
-                  fresh_q := rest;
-                  Simulated m
-              | [] -> assert false)
-        in
-        { config = p.p_config; cell_label = p.p_label; key; bounds = p.p_bounds; status })
-      cells_pre
-  in
+  let cells = merge verdicts evaluated in
   let points =
     List.mapi (fun i c -> (i, c)) cells
     |> List.filter_map (fun (i, c) ->
@@ -389,30 +333,6 @@ let explore ~pool ?cache ?(constraints = []) ?(seed = 42) ?(iterations = 400)
                Some { Pareto.index = i; label = c.cell_label; metrics = m }
            | _ -> None)
   in
-  let pareto = Pareto.frontier points in
-  let n_pruned =
-    List.length
-      (List.filter (fun c -> match c.status with Pruned _ -> true | _ -> false) cells)
-  in
-  let n_hits =
-    List.length
-      (List.filter (fun c -> match c.status with Cached _ -> true | _ -> false) cells)
-  in
-  let n_misses = List.length misses in
-  let stats =
-    {
-      enumerated = List.length space.sp_cells;
-      pruned = n_pruned;
-      cache_hits = n_hits;
-      cache_misses = n_misses;
-      simulated = n_misses;
-      store_failures =
-        (match cache with
-        | None -> 0
-        | Some store ->
-            (Store.stats store).Store.store_failures - store_failures_before);
-    }
-  in
   {
     workload = name;
     max_clocks;
@@ -420,8 +340,15 @@ let explore ~pool ?cache ?(constraints = []) ?(seed = 42) ?(iterations = 400)
     iterations;
     constraints;
     cells;
-    pareto;
-    stats;
+    pareto = Pareto.frontier points;
+    stats =
+      {
+        enumerated = List.length cells;
+        pruned = List.length cells - List.length admissible;
+        cache_hits = rs.rs_cache_hits;
+        simulated = rs.rs_simulated;
+        store_failures = rs.rs_store_failures;
+      };
   }
 
 (* --- Rendering --------------------------------------------------------- *)
@@ -575,7 +502,6 @@ let stats_json result =
       ("enumerated", Mclock_util.Json.Int s.enumerated);
       ("pruned", Mclock_util.Json.Int s.pruned);
       ("cache_hits", Mclock_util.Json.Int s.cache_hits);
-      ("cache_misses", Mclock_util.Json.Int s.cache_misses);
       ("simulated", Mclock_util.Json.Int s.simulated);
       ("store_failures", Mclock_util.Json.Int s.store_failures);
     ]

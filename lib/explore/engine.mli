@@ -27,7 +27,6 @@ type stats = {
   enumerated : int;
   pruned : int;
   cache_hits : int;
-  cache_misses : int;
   simulated : int;
   store_failures : int;
 }
@@ -94,7 +93,14 @@ type rung_stats = {
       (** iterations *not* re-simulated thanks to checkpoints *)
   rs_fresh_iterations : int;  (** iterations actually simulated *)
   rs_checkpoints_written : int;  (** sidecars stored at this rung *)
+  rs_store_failures : int;
+      (** cache writes of this call that failed (the store's own
+          counter runs across every call sharing it) *)
 }
+
+val metrics : cell -> Metrics.t
+(** The metrics of an evaluated ([Cached] or [Simulated]) cell.
+    Raises [Invalid_argument] on a [Pruned] one. *)
 
 val evaluate_at :
   pool:Mclock_exec.Pool.t ->
@@ -105,14 +111,16 @@ val evaluate_at :
   iterations:int ->
   space ->
   prepared list ->
-  Metrics.t list * rung_stats
-(** The partial-fidelity evaluation entry point: evaluate the given
-    cells at an arbitrary iteration budget, serving cache hits and
-    fanning the misses over the pool (submission order = input order,
-    so results are jobs-invariant), writing fresh results back.
-    Returns metrics in input order.  Successive-halving rungs are
-    built on this; [iterations] need not match the fidelity the space
-    was prepared at.
+  cell list * rung_stats
+(** The one cell-evaluation path, behind both {!explore} and the
+    successive-halving rungs: evaluate the given cells at an
+    arbitrary iteration budget, serving cache hits and fanning the
+    misses over the pool (one [explore.simulate] span each;
+    submission order = input order, so results are jobs-invariant),
+    writing fresh results back.  Returns one [Cached] or [Simulated]
+    cell per input, in input order, each with its cache key at this
+    budget.  [iterations] need not match the fidelity the space was
+    prepared at.
 
     [resume_from] lists lower iteration counts whose checkpoint
     sidecars (if cached) can seed this rung — the highest available
@@ -137,11 +145,13 @@ val explore :
   sched_constraints:Mclock_sched.List_sched.constraints ->
   Mclock_dfg.Graph.t ->
   result
-(** Defaults: no cache, no constraints, seed 42, 400 iterations,
+(** {!prepare} the grid, prune it on [constraints], evaluate the
+    admissible cells through {!evaluate_at} at [iterations] (no
+    resume ladder, no checkpoints) and extract the frontier.
+    Defaults: no cache, no constraints, seed 42, 400 iterations,
     max_clocks 4, the CMOS08 library, width 4.  [sched_constraints]
     bound the list scheduler (a workload's [constraints] field; pass
-    [[]] for unconstrained).  Cache misses simulate in enumeration
-    order. *)
+    [[]] for unconstrained). *)
 
 val render_text : result -> string
 (** Cell-by-cell table (status, cache provenance, metrics) plus the

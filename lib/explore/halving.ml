@@ -130,13 +130,6 @@ let run ~pool ?cache ?(eta = 2) ?min_iterations ?(constraints = [])
            min_iterations iterations)
     else None
   in
-  (* Counters accumulate across runs sharing a store; snapshot so this
-     result reports only its own failures. *)
-  let store_failures_before =
-    match cache with
-    | None -> 0
-    | Some store -> (Store.stats store).Store.store_failures
-  in
   let space =
     Engine.prepare ?tech ?width ~max_clocks ~iterations ~name
       ~sched_constraints graph
@@ -167,11 +160,12 @@ let run ~pool ?cache ?(eta = 2) ?min_iterations ?(constraints = [])
   let resumed = ref 0 in
   let resumed_iters = ref 0 in
   let ckpts = ref 0 in
+  let store_failures = ref 0 in
   let eval_iters = ref 0 in
   let past = ref [] in
   let eval ~budget survivors =
     let resume_from = if resume then !past else [] in
-    let metrics, rs =
+    let cells, rs =
       Engine.evaluate_at ~pool ?cache ~resume_from ~checkpoints:resume ~seed
         ~iterations:budget space survivors
     in
@@ -181,8 +175,9 @@ let run ~pool ?cache ?(eta = 2) ?min_iterations ?(constraints = [])
     resumed := !resumed + rs.Engine.rs_resumed;
     resumed_iters := !resumed_iters + rs.Engine.rs_resumed_iterations;
     ckpts := !ckpts + rs.Engine.rs_checkpoints_written;
+    store_failures := !store_failures + rs.Engine.rs_store_failures;
     past := budget :: !past;
-    metrics
+    List.map Engine.metrics cells
   in
   (* The nominal cost of evaluating [n] cells at [budget] when they
      last ran at [prev]: incremental under resume, a restart without.
@@ -298,12 +293,7 @@ let run ~pool ?cache ?(eta = 2) ?min_iterations ?(constraints = [])
         cache_hits = !hits;
         simulated = !sims;
         simulated_iterations = !fresh_iters;
-        store_failures =
-          (match cache with
-          | None -> 0
-          | Some store ->
-              (Store.stats store).Store.store_failures
-              - store_failures_before);
+        store_failures = !store_failures;
         resumed = !resumed;
         resumed_iterations = !resumed_iters;
         checkpoints_written = !ckpts;

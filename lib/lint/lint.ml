@@ -5,5 +5,4 @@ let datapath = Rules.datapath_rules
 let graph = Rules.graph_rules
 let schedule = Rules.schedule_rules
 let behaviour g assignments = Rules.graph_rules g @ Rules.schedule_rules g assignments
-let is_clean ds = ds = []
 let has_errors ds = Diagnostic.errors ds <> []

@@ -24,7 +24,4 @@ val schedule : Graph.t -> (int * int) list -> Diagnostic.t list
 val behaviour : Graph.t -> (int * int) list -> Diagnostic.t list
 (** {!graph} plus {!schedule}. *)
 
-val is_clean : Diagnostic.t list -> bool
-(** No diagnostics of any severity. *)
-
 val has_errors : Diagnostic.t list -> bool

@@ -10,8 +10,6 @@ let rec drop n = function
 
 let sum = List.fold_left ( + ) 0
 
-let sum_float = List.fold_left ( +. ) 0.
-
 let sum_by f items = List.fold_left (fun acc x -> acc + f x) 0 items
 
 let sum_by_float f items = List.fold_left (fun acc x -> acc +. f x) 0. items
@@ -66,9 +64,6 @@ let group_by ~key ~compare_key items =
 let range lo hi =
   let rec go acc i = if i < lo then acc else go (i :: acc) (i - 1) in
   go [] hi
-
-let init_matrix rows cols f =
-  List.map (fun r -> List.map (fun c -> f r c) (range 0 (cols - 1))) (range 0 (rows - 1))
 
 let assoc_update ~key ~default f assoc =
   let rec go = function

@@ -4,7 +4,6 @@ val take : int -> 'a list -> 'a list
 val drop : int -> 'a list -> 'a list
 
 val sum : int list -> int
-val sum_float : float list -> float
 val sum_by : ('a -> int) -> 'a list -> int
 val sum_by_float : ('a -> float) -> 'a list -> float
 
@@ -34,8 +33,6 @@ val group_by :
 
 val range : int -> int -> int list
 (** [range lo hi] is [lo; lo+1; ...; hi] (empty when [hi < lo]). *)
-
-val init_matrix : int -> int -> (int -> int -> 'a) -> 'a list list
 
 val assoc_update : key:'k -> default:'v -> ('v -> 'v) -> ('k * 'v) list -> ('k * 'v) list
 (** Update the binding of [key] (inserting [f default] if absent). *)

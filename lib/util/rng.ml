@@ -12,8 +12,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* The whole generator is its 64-bit counter, so a stream can be
    suspended and resumed exactly: [of_state (state t)] continues the
    draw sequence where [t] stood.  This is what makes simulation

@@ -8,9 +8,6 @@ type t
 val create : int -> t
 (** [create seed] is a fresh generator. Equal seeds give equal streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator starting at [t]'s current state. *)
-
 val state : t -> int64
 (** The generator's complete internal state.  [of_state (state t)]
     resumes [t]'s stream exactly where it stood — the primitive that

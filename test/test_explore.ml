@@ -746,6 +746,41 @@ let test_engine_partial_cache_stitches_in_order () =
     (frontier_string rerun);
   rm_rf dir
 
+(* The store's failure counter runs across every run sharing it; each
+   result must count only the writes its own run attempted.  The cache
+   directory is a regular file, so every write fails. *)
+let test_store_failures_per_run () =
+  let dir = temp_dir () in
+  let blocker = Filename.concat dir "not-a-dir" in
+  Out_channel.with_open_bin blocker (fun oc ->
+      Out_channel.output_string oc "x");
+  let cache = Store.open_ ~dir:blocker () in
+  let runs = [ explore ~cache (); explore ~cache () ] in
+  List.iter
+    (fun (r : Engine.result) ->
+      check Alcotest.int "every cell simulated" r.Engine.stats.Engine.enumerated
+        r.Engine.stats.Engine.simulated;
+      check Alcotest.int "explore: one failed write per simulated cell"
+        r.Engine.stats.Engine.simulated r.Engine.stats.Engine.store_failures)
+    runs;
+  let search =
+    with_pool (fun pool ->
+        Halving.run ~pool ~cache ~seed:42 ~iterations:60 ~max_clocks:2
+          ~name:"facet" ~sched_constraints:smoke_constraints smoke_graph)
+  in
+  let s = search.Halving.stats in
+  check Alcotest.bool "search wrote checkpoints" true
+    (s.Halving.checkpoints_written > 0);
+  check Alcotest.int "search: its own entry and sidecar writes"
+    (s.Halving.simulated + s.Halving.checkpoints_written)
+    s.Halving.store_failures;
+  check Alcotest.int "the store counts them all"
+    (List.fold_left
+       (fun n (r : Engine.result) -> n + r.Engine.stats.Engine.store_failures)
+       s.Halving.store_failures runs)
+    (Store.stats cache).Store.store_failures;
+  rm_rf dir
+
 (* [exact_float] reads back as the same float, and keeps [%g]'s bytes
    wherever [%g] already did. *)
 let test_exact_float () =
@@ -799,4 +834,5 @@ let suite =
       `Quick,
       test_engine_partial_cache_stitches_in_order );
     ("exact_float reads back", `Quick, test_exact_float);
+    ("store failures counted per run", `Quick, test_store_failures_per_run);
   ]

@@ -428,7 +428,8 @@ let test_corrupt_sidecar_degrades () =
             (fun a b ->
               if not (Metrics.equal a b) then
                 fail "degraded metrics differ from reference")
-            reference metrics))
+            (List.map Engine.metrics reference)
+            (List.map Engine.metrics metrics)))
 
 (* The engine resumes from the highest cached rung at or below the
    target, and the metrics equal an uncached evaluation's. *)
@@ -466,7 +467,8 @@ let test_engine_resume_ladder () =
             (fun a b ->
               if not (Metrics.equal a b) then
                 fail "resumed metrics differ from uncached")
-            reference metrics))
+            (List.map Engine.metrics reference)
+            (List.map Engine.metrics metrics)))
 
 (* Search determinism with resume: the uncached, cold-cache and
    warm-cache documents are byte-identical, the warm run simulates
