@@ -14,95 +14,113 @@
 
    Behaviours come from the bundled catalog (--workload) or a text-format
    DFG file (--file); unscheduled files are scheduled with the chosen
-   scheduler. *)
+   scheduler.
+
+   Every subcommand body returns its exit code (see [exits]); a user
+   error raises [User_error], which the entry point prints once the
+   body's finalizers (the trace flush included) have run. *)
 
 open Cmdliner
 
 let tech = Mclock_tech.Cmos08.t
 
+(* --- User errors and exit codes ------------------------------------------- *)
+
+exception User_error of string
+
+let user_error fmt = Printf.ksprintf (fun msg -> raise (User_error msg)) fmt
+
+let or_user_error = function Ok v -> v | Error msg -> raise (User_error msg)
+
+let exits =
+  Cmd.Exit.
+    [
+      info ok ~doc:"on success.";
+      info 1
+        ~doc:"on a user error (a bad option value, an unreadable input or \
+              an unwritable output), and from $(b,lint) when an error \
+              diagnostic remains.";
+      info 2
+        ~doc:"on a functional failure: a simulated design disagrees with \
+              its golden model ($(b,synth), $(b,explore)), or $(b,search) \
+              finds no winner.";
+      info 3
+        ~doc:"from $(b,estimate --compare) when the simulation exceeds a \
+              certified static bound (an unsound static estimate).";
+      info cli_error ~doc:"on command line parsing errors.";
+      info internal_error ~doc:"on unexpected internal errors (bugs).";
+    ]
+
+(* Uniform validation of count-like options: every subcommand rejects a
+   zero or negative value the same way, as a user error, instead of
+   hanging a worker pool or raising deep inside a library. *)
+let require_at_least ~what ~min n =
+  if n < min then user_error "%s must be >= %d (got %d)" what min n
+
+let require_positive ~what n = require_at_least ~what ~min:1 n
+
 (* --- Behaviour loading --------------------------------------------------- *)
 
 let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> raise (User_error msg)
 
 type input = { graph : Mclock_dfg.Graph.t; schedule : Mclock_sched.Schedule.t }
 
-(* A file whose first meaningful token is 'behavior' is in the
-   behaviour description language; anything else is the DFG format. *)
-let is_behaviour_file path =
-  match read_file path with
-  | exception Sys_error _ -> false
-  | text ->
-      let lines = String.split_on_char '\n' text in
-      let meaningful =
-        List.find_opt
-          (fun l ->
-            let l = String.trim l in
-            l <> "" && l.[0] <> '#')
-          lines
-      in
-      (match meaningful with
-      | Some l ->
-          let l = String.trim l in
-          String.length l >= 8
-          && (String.sub l 0 8 = "behavior" || String.sub l 0 8 = "behaviou")
-      | None -> false)
+(* A file whose first meaningful line starts with 'behavior' (or
+   'behaviour') is in the behaviour description language; anything
+   else is the DFG format. *)
+let is_behaviour text =
+  String.split_on_char '\n' text
+  |> List.map String.trim
+  |> List.find_opt (fun l -> l <> "" && l.[0] <> '#')
+  |> Option.fold ~none:false ~some:(fun l ->
+         String.starts_with ~prefix:"behavior" l
+         || String.starts_with ~prefix:"behaviou" l)
 
 let load ~workload ~file ~scheduler =
+  let schedule graph = function
+    | `Asap -> Mclock_sched.Asap.run graph
+    | `Alap -> Mclock_sched.Alap.run graph
+    | `Annotated | `Fds -> Mclock_sched.Force_directed.run graph
+  in
   match (workload, file) with
   | Some name, None -> (
       match Mclock_workloads.Catalog.find name with
       | Some w ->
-          Ok
-            {
-              graph = Mclock_workloads.Workload.graph w;
-              schedule = Mclock_workloads.Workload.schedule w;
-            }
-      | None ->
-          Error
-            (Printf.sprintf "unknown workload %S (try: mclock list)" name))
-  | None, Some path when is_behaviour_file path -> (
-      match Mclock_lang.Compile.compile_string (read_file path) with
-      | exception Mclock_lang.Lexer.Error { line; message } ->
-          Error (Printf.sprintf "%s:%d: %s" path line message)
-      | exception Mclock_lang.Parser.Error { line; message } ->
-          Error (Printf.sprintf "%s:%d: %s" path line message)
-      | exception Mclock_lang.Compile.Error { line; message } ->
-          Error (Printf.sprintf "%s:%d: %s" path line message)
-      | exception Mclock_dfg.Graph.Invalid message ->
-          Error (Printf.sprintf "%s: %s" path message)
-      | exception Sys_error msg -> Error msg
-      | graph -> (
-          match scheduler with
-          | `Alap -> Ok { graph; schedule = Mclock_sched.Alap.run graph }
-          | `Asap -> Ok { graph; schedule = Mclock_sched.Asap.run graph }
-          | `Annotated | `Fds ->
-              (* Behaviour files carry no step annotations; default to
-                 force-directed scheduling. *)
-              Ok { graph; schedule = Mclock_sched.Force_directed.run graph }))
+          {
+            graph = Mclock_workloads.Workload.graph w;
+            schedule = Mclock_workloads.Workload.schedule w;
+          }
+      | None -> user_error "unknown workload %S (try: mclock list)" name)
   | None, Some path -> (
-      match Mclock_dfg.Parse.parse_string (read_file path) with
-      | exception Mclock_dfg.Parse.Error { line; message } ->
-          Error (Printf.sprintf "%s:%d: %s" path line message)
-      | exception Sys_error msg -> Error msg
-      | { Mclock_dfg.Parse.graph; steps } -> (
-          match (steps, scheduler) with
-          | _ :: _, `Annotated -> (
-              match Mclock_sched.Schedule.create graph steps with
-              | s -> Ok { graph; schedule = s }
-              | exception Mclock_sched.Schedule.Invalid m -> Error m)
-          | [], `Annotated ->
-              Error "file has no @step annotations; pick --scheduler"
-          | _, `Asap -> Ok { graph; schedule = Mclock_sched.Asap.run graph }
-          | _, `Alap -> Ok { graph; schedule = Mclock_sched.Alap.run graph }
-          | _, `Fds ->
-              Ok { graph; schedule = Mclock_sched.Force_directed.run graph }))
-  | Some _, Some _ -> Error "--workload and --file are mutually exclusive"
-  | None, None -> Error "need --workload NAME or --file PATH"
+      let text = read_file path in
+      let at line message = user_error "%s:%d: %s" path line message in
+      if is_behaviour text then
+        (* Behaviour files carry no step annotations; [`Annotated]
+           defaults to force-directed scheduling. *)
+        match Mclock_lang.Compile.compile_string text with
+        | graph -> { graph; schedule = schedule graph scheduler }
+        | exception
+            ( Mclock_lang.Lexer.Error { line; message }
+            | Mclock_lang.Parser.Error { line; message }
+            | Mclock_lang.Compile.Error { line; message } ) ->
+            at line message
+        | exception Mclock_dfg.Graph.Invalid message ->
+            user_error "%s: %s" path message
+      else
+        match Mclock_dfg.Parse.parse_string text with
+        | exception Mclock_dfg.Parse.Error { line; message } -> at line message
+        | { Mclock_dfg.Parse.graph; steps } -> (
+            match (steps, scheduler) with
+            | _ :: _, `Annotated -> (
+                try { graph; schedule = Mclock_sched.Schedule.create graph steps }
+                with Mclock_sched.Schedule.Invalid m -> raise (User_error m))
+            | [], `Annotated ->
+                user_error "file has no @step annotations; pick --scheduler"
+            | _, s -> { graph; schedule = schedule graph s }))
+  | Some _, Some _ -> user_error "--workload and --file are mutually exclusive"
+  | None, None -> user_error "need --workload NAME or --file PATH"
 
 (* The name a design is reported under: the workload's, else the file's
    base name. *)
@@ -130,14 +148,33 @@ let scheduler_arg =
   Arg.(value & opt kind `Annotated & info [ "scheduler" ] ~docv:"KIND"
          ~doc:"Scheduler for unannotated files: annotated, asap, alap or fds.")
 
-let method_arg =
-  let kind = Arg.enum [ ("conv", `Conv); ("gated", `Gated); ("mc", `Mc); ("split", `Split) ] in
-  Arg.(value & opt kind `Mc & info [ "m"; "method" ] ~docv:"METHOD"
-         ~doc:"Allocation method: conv, gated, mc (integrated) or split.")
-
 let clocks_arg =
   Arg.(value & opt int 2 & info [ "n"; "clocks" ] ~docv:"N"
          ~doc:"Number of non-overlapping clocks (mc/split methods).")
+
+(* --method and --clocks together: the allocation flow to run. *)
+let method_arg =
+  let kind = Arg.enum [ ("conv", `Conv); ("gated", `Gated); ("mc", `Mc); ("split", `Split) ] in
+  let method_of kind n =
+    match kind with
+    | `Conv -> Mclock_core.Flow.Conventional_non_gated
+    | `Gated -> Mclock_core.Flow.Conventional_gated
+    | `Mc -> Mclock_core.Flow.Integrated n
+    | `Split -> Mclock_core.Flow.Split n
+  in
+  Term.(
+    const method_of
+    $ Arg.(value & opt kind `Mc & info [ "m"; "method" ] ~docv:"METHOD"
+             ~doc:"Allocation method: conv, gated, mc (integrated) or split.")
+    $ clocks_arg)
+
+(* --workload/--file/--scheduler: the design's name and its loader,
+   called inside the subcommand body so a load error is traced. *)
+let source_arg =
+  let source workload file scheduler () =
+    (design_name ~workload ~file, load ~workload ~file ~scheduler)
+  in
+  Term.(const source $ workload_arg $ file_arg $ scheduler_arg)
 
 let iterations_arg =
   Arg.(value & opt int 500 & info [ "iterations" ] ~docv:"N"
@@ -153,8 +190,16 @@ let jobs_arg =
                the core count. Results are byte-identical for any value.")
 
 let resolve_jobs = function
-  | Some j -> j
-  | None -> Mclock_exec.Pool.default_jobs ()
+  | Some j ->
+      require_positive ~what:"--jobs" j;
+      j
+  | None -> (
+      try Mclock_exec.Pool.default_jobs ()
+      with Invalid_argument msg -> raise (User_error msg))
+
+let json_flag =
+  Arg.(value & flag & info [ "json" ]
+         ~doc:"Print the result as machine-readable JSON instead of text.")
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"PATH"
@@ -169,12 +214,6 @@ let trace_summary_arg =
          ~doc:"Print a per-span timing table and all non-zero counters \
                to stderr when the run finishes.")
 
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-      Fmt.epr "mclock: %s@." msg;
-      exit 1
-
 (* Every file the CLI writes goes through here, then "wrote PATH" on
    [ppf].  An unwritable path is a user error ("mclock: PATH: reason",
    exit 1), not an internal one.  The explicit close surfaces a failed
@@ -186,15 +225,15 @@ let write_file ppf path contents =
          Out_channel.close oc)
    with Sys_error msg ->
      let prefix = path ^ ": " in
-     or_die
-       (Error
-          (if String.starts_with ~prefix msg then msg else prefix ^ msg)));
+     raise
+       (User_error (if String.starts_with ~prefix msg then msg else prefix ^ msg)));
   Fmt.pf ppf "wrote %s@." path
 
-(* Tracing brackets a whole subcommand.  [f] must RETURN (exit codes
-   are decided by the caller afterwards): [exit] would skip the
-   Fun.protect finalizer and lose the trace file.  Trace output goes
-   to a side file / stderr only, preserving stdout byte-identity. *)
+(* Tracing brackets a whole subcommand body, validation included.  The
+   trace is flushed whether [f] returns or raises, so a user error
+   still leaves its trace; an unwritable trace path raises
+   [User_error] itself.  Trace output goes to a side file / stderr
+   only, preserving stdout byte-identity. *)
 let with_tracing ~name ~trace ~trace_summary f =
   if trace = None && not trace_summary then f ()
   else begin
@@ -207,25 +246,27 @@ let with_tracing ~name ~trace ~trace_summary f =
         trace;
       if trace_summary then prerr_string (Mclock_obs.Obs.summary events)
     in
-    Fun.protect ~finally:flush_trace (fun () ->
-        Mclock_obs.Obs.with_span ~cat:"cli" ~name f)
+    match Mclock_obs.Obs.with_span ~cat:"cli" ~name f with
+    | code ->
+        flush_trace ();
+        code
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        flush_trace ();
+        Printexc.raise_with_backtrace e bt
   end
 
-let method_of = function
-  | `Conv, _ -> Mclock_core.Flow.Conventional_non_gated
-  | `Gated, _ -> Mclock_core.Flow.Conventional_gated
-  | `Mc, n -> Mclock_core.Flow.Integrated n
-  | `Split, n -> Mclock_core.Flow.Split n
-
-(* Uniform validation of count-like options: every subcommand rejects a
-   zero or negative value the same way — a usage error on stderr and
-   exit 1 — instead of hanging a worker pool or raising deep inside a
-   library. *)
-let require_at_least ~what ~min n =
-  if n < min then
-    or_die (Error (Printf.sprintf "%s must be >= %d (got %d)" what min n))
-
-let require_positive ~what n = require_at_least ~what ~min:1 n
+(* Every subcommand is built here.  [run] is its options applied to its
+   body, a thunk returning the exit code; with [~traced] the body runs
+   under [--trace]/[--trace-summary]. *)
+let subcommand ?(traced = false) name ~doc run =
+  let term =
+    if traced then
+      let traced trace trace_summary = with_tracing ~name ~trace ~trace_summary in
+      Term.(const traced $ trace_arg $ trace_summary_arg $ run)
+    else Term.map (fun f -> f ()) run
+  in
+  Cmd.v (Cmd.info name ~doc ~exits) term
 
 (* --- list --------------------------------------------------------------------- *)
 
@@ -233,16 +274,16 @@ let list_cmd =
   let run () =
     List.iter
       (fun w -> Fmt.pr "%a@." Mclock_workloads.Workload.pp w)
-      Mclock_workloads.Catalog.all
+      Mclock_workloads.Catalog.all;
+    0
   in
-  Cmd.v (Cmd.info "list" ~doc:"List bundled workloads.")
-    Term.(const run $ const ())
+  subcommand "list" ~doc:"List bundled workloads." (Term.const run)
 
 (* --- show --------------------------------------------------------------------- *)
 
 let show_cmd =
-  let run workload file scheduler clocks =
-    let input = or_die (load ~workload ~file ~scheduler) in
+  let run source clocks () =
+    let _, input = source () in
     Fmt.pr "%a@.@." Mclock_dfg.Graph.pp input.graph;
     Fmt.pr "%a@." Mclock_sched.Schedule.pp input.schedule;
     let problem = Mclock_core.Lifetime.analyze ~n:clocks input.schedule in
@@ -250,11 +291,11 @@ let show_cmd =
       (Mclock_core.Lifetime.render_table problem);
     if clocks > 1 then
       Fmt.pr "%s@."
-        (Mclock_core.Split_alloc.render_partitions ~n:clocks input.schedule)
+        (Mclock_core.Split_alloc.render_partitions ~n:clocks input.schedule);
+    0
   in
-  Cmd.v
-    (Cmd.info "show" ~doc:"Print a behaviour, its schedule and lifetimes.")
-    Term.(const run $ workload_arg $ file_arg $ scheduler_arg $ clocks_arg)
+  subcommand "show" ~doc:"Print a behaviour, its schedule and lifetimes."
+    Term.(const run $ source_arg $ clocks_arg)
 
 (* --- synth --------------------------------------------------------------------- *)
 
@@ -275,13 +316,8 @@ let synth_cmd =
     Arg.(value & opt (some string) None & info [ "vcd" ] ~docv:"PATH"
            ~doc:"Write a VCD waveform trace of the first computations to $(docv).")
   in
-  let run workload file scheduler method_ clocks iterations seed vhdl verilog
-      dot vcd trace trace_summary =
-    let ok =
-      with_tracing ~name:"synth" ~trace ~trace_summary @@ fun () ->
-      let input = or_die (load ~workload ~file ~scheduler) in
-    let m = method_of (method_, clocks) in
-    let name = design_name ~workload ~file in
+  let run source m iterations seed vhdl verilog dot vcd () =
+    let name, input = source () in
     let design = Mclock_core.Flow.synthesize ~method_:m ~name input.schedule in
     (* [synthesize] already failed on lint errors; surface the rest. *)
     List.iter
@@ -329,25 +365,17 @@ let synth_cmd =
         | Some t -> write p (Mclock_sim.Vcd.contents t.Mclock_sim.Simulator.vcd)
         | None -> ())
       vcd;
-      report.Mclock_power.Report.functional_ok
-    in
-    if not ok then exit 2
+    if report.Mclock_power.Report.functional_ok then 0 else 2
   in
-  Cmd.v
-    (Cmd.info "synth"
-       ~doc:"Synthesize one design; simulate, verify and report power/area.")
+  subcommand "synth" ~traced:true
+    ~doc:"Synthesize one design; simulate, verify and report power/area."
     Term.(
-      const run $ workload_arg $ file_arg $ scheduler_arg $ method_arg
-      $ clocks_arg $ iterations_arg $ seed_arg $ vhdl_arg
-      $ verilog_arg $ dot_arg $ vcd_arg $ trace_arg $ trace_summary_arg)
+      const run $ source_arg $ method_arg $ iterations_arg $ seed_arg
+      $ vhdl_arg $ verilog_arg $ dot_arg $ vcd_arg)
 
 (* --- lint --------------------------------------------------------------------- *)
 
 let lint_cmd =
-  let json_arg =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Emit the diagnostics as a machine-readable JSON report.")
-  in
   let werror_arg =
     Arg.(value & flag & info [ "werror" ]
            ~doc:"Promote warnings and info diagnostics to errors.")
@@ -358,10 +386,8 @@ let lint_cmd =
                  integrated method (--method mc) so rule MC006 has \
                  something to find.")
   in
-  let run workload file scheduler method_ clocks json werror no_transfers =
-    let input = or_die (load ~workload ~file ~scheduler) in
-    let m = method_of (method_, clocks) in
-    let name = design_name ~workload ~file in
+  let run source m json werror no_transfers () =
+    let name, input = source () in
     let behaviour_diags =
       let assignments =
         List.map
@@ -374,8 +400,7 @@ let lint_cmd =
     in
     (match m with
     | Mclock_core.Flow.Integrated _ -> ()
-    | _ when no_transfers ->
-        or_die (Error "--no-transfers only applies to --method mc")
+    | _ when no_transfers -> user_error "--no-transfers only applies to --method mc"
     | _ -> ());
     let design =
       Mclock_core.Flow.synthesize ~lint:false ~transfers:(not no_transfers)
@@ -390,27 +415,25 @@ let lint_cmd =
         (Mclock_util.Json.to_string_pretty
            (Mclock_lint.Diagnostic.list_to_json ~subject:name diags))
     else print_endline (Mclock_lint.Diagnostic.render diags);
-    if Mclock_lint.Lint.has_errors diags then exit 1
+    if Mclock_lint.Lint.has_errors diags then 1 else 0
   in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:"Run the MC0xx/MC1xx static-analysis rules over a behaviour \
-             and its synthesized design; non-zero exit on any error.")
+  subcommand "lint"
+    ~doc:"Run the MC0xx/MC1xx static-analysis rules over a behaviour \
+          and its synthesized design; non-zero exit on any error."
     Term.(
-      const run $ workload_arg $ file_arg $ scheduler_arg $ method_arg
-      $ clocks_arg $ json_arg $ werror_arg $ no_transfers_arg)
+      const run $ source_arg $ method_arg $ json_flag $ werror_arg
+      $ no_transfers_arg)
 
 (* --- table --------------------------------------------------------------------- *)
 
 let table_cmd =
-  let run workload file scheduler iterations seed jobs trace trace_summary =
+  let run workload file scheduler iterations seed jobs () =
     require_positive ~what:"--iterations" iterations;
-    Option.iter (require_positive ~what:"--jobs") jobs;
-    with_tracing ~name:"table" ~trace ~trace_summary @@ fun () ->
-    let input = or_die (load ~workload ~file ~scheduler) in
+    let jobs = resolve_jobs jobs in
+    let input = load ~workload ~file ~scheduler in
     let name = Option.value ~default:"design" workload in
     let suite = Mclock_core.Flow.standard_suite ~name input.schedule in
-    Mclock_exec.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
+    Mclock_exec.Pool.with_pool ~jobs (fun pool ->
         let reports =
           Mclock_power.Report.evaluate_batch ~pool ~seed ~iterations tech
             (List.map
@@ -421,32 +444,30 @@ let table_cmd =
         Mclock_util.Table.print
           (Mclock_power.Report.paper_table
              ~title:(Printf.sprintf "Multiple Clocks with Latches for %s" name)
-             reports))
+             reports));
+    0
   in
-  Cmd.v
-    (Cmd.info "table" ~doc:"The paper's five-design comparison table.")
+  subcommand "table" ~traced:true ~doc:"The paper's five-design comparison table."
     Term.(
       const run $ workload_arg $ file_arg $ scheduler_arg $ iterations_arg
-      $ seed_arg $ jobs_arg $ trace_arg $ trace_summary_arg)
+      $ seed_arg $ jobs_arg)
 
 (* --- controller ------------------------------------------------------------------ *)
 
 let controller_cmd =
-  let run workload file scheduler method_ clocks =
-    let input = or_die (load ~workload ~file ~scheduler) in
-    let m = method_of (method_, clocks) in
+  let run source m () =
+    let _, input = source () in
     let design = Mclock_core.Flow.synthesize ~method_:m ~name:"ctl" input.schedule in
     let reports =
       List.map
         (fun enc -> Mclock_ctrl.Synth.estimate tech design enc)
         Mclock_ctrl.Encoding.all
     in
-    print_string (Mclock_ctrl.Synth.render reports)
+    print_string (Mclock_ctrl.Synth.render reports);
+    0
   in
-  Cmd.v
-    (Cmd.info "controller"
-       ~doc:"Controller synthesis estimate per state encoding.")
-    Term.(const run $ workload_arg $ file_arg $ scheduler_arg $ method_arg $ clocks_arg)
+  subcommand "controller" ~doc:"Controller synthesis estimate per state encoding."
+    Term.(const run $ source_arg $ method_arg)
 
 (* --- calibrate -------------------------------------------------------------------- *)
 
@@ -458,13 +479,13 @@ let calibrate_cmd =
   let width_arg =
     Arg.(value & opt int 4 & info [ "width" ] ~docv:"BITS" ~doc:"Operand width.")
   in
-  let run samples width =
+  let run samples width () =
     let ms = Mclock_gatelevel.Calibrate.measure_all ~samples tech ~width in
-    print_string (Mclock_gatelevel.Calibrate.render ms)
+    print_string (Mclock_gatelevel.Calibrate.render ms);
+    0
   in
-  Cmd.v
-    (Cmd.info "calibrate"
-       ~doc:"Gate-level calibration of the RTL ALU activity model.")
+  subcommand "calibrate"
+    ~doc:"Gate-level calibration of the RTL ALU activity model."
     Term.(const run $ samples_arg $ width_arg)
 
 (* --- waves --------------------------------------------------------------------- *)
@@ -473,13 +494,13 @@ let waves_cmd =
   let cycles_arg =
     Arg.(value & opt int 8 & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to draw.")
   in
-  let run clocks cycles =
+  let run clocks cycles () =
     let c = Mclock_rtl.Clock.create ~phases:clocks ~frequency:tech.Mclock_tech.Library.clock_frequency in
     Fmt.pr "%a@.%s@." Mclock_rtl.Clock.pp c
-      (Mclock_rtl.Clock.render_waveforms c ~cycles)
+      (Mclock_rtl.Clock.render_waveforms c ~cycles);
+    0
   in
-  Cmd.v
-    (Cmd.info "waves" ~doc:"ASCII waveforms of an n-phase clocking scheme.")
+  subcommand "waves" ~doc:"ASCII waveforms of an n-phase clocking scheme."
     Term.(const run $ clocks_arg $ cycles_arg)
 
 (* --- sweep --------------------------------------------------------------------- *)
@@ -488,13 +509,11 @@ let sweep_cmd =
   let max_arg =
     Arg.(value & opt int 4 & info [ "max" ] ~docv:"N" ~doc:"Largest clock count.")
   in
-  let run workload file scheduler iterations seed max_n jobs trace
-      trace_summary =
+  let run source iterations seed max_n jobs () =
     require_positive ~what:"--iterations" iterations;
     require_positive ~what:"--max" max_n;
-    Option.iter (require_positive ~what:"--jobs") jobs;
-    with_tracing ~name:"sweep" ~trace ~trace_summary @@ fun () ->
-    let input = or_die (load ~workload ~file ~scheduler) in
+    let jobs = resolve_jobs jobs in
+    let _, input = source () in
     let table =
       Mclock_util.Table.create ~title:"clock-count sweep"
         ~header:[ "clocks"; "power [mW]"; "area [l^2]"; "ALUs"; "mem"; "mux" ]
@@ -505,7 +524,7 @@ let sweep_cmd =
        rows are reduced in submission order, so the table is identical
        for any job count. *)
     let reports =
-      Mclock_exec.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
+      Mclock_exec.Pool.with_pool ~jobs (fun pool ->
           Mclock_exec.Pool.map pool
             ~label:(fun i -> Printf.sprintf "mc%d" (i + 1))
             (fun _ n ->
@@ -530,14 +549,12 @@ let sweep_cmd =
             string_of_int r.Mclock_power.Report.mux_inputs;
           ])
       reports;
-    Mclock_util.Table.print table
+    Mclock_util.Table.print table;
+    0
   in
-  Cmd.v
-    (Cmd.info "sweep" ~doc:"Power/area across clock counts 1..N.")
+  subcommand "sweep" ~traced:true ~doc:"Power/area across clock counts 1..N."
     Term.(
-      const run $ workload_arg $ file_arg $ scheduler_arg $ iterations_arg
-      $ seed_arg $ max_arg $ jobs_arg $ trace_arg
-      $ trace_summary_arg)
+      const run $ source_arg $ iterations_arg $ seed_arg $ max_arg $ jobs_arg)
 
 (* --- explore / search shared options ------------------------------------- *)
 
@@ -568,6 +585,15 @@ let no_cache_arg =
          ~doc:"Disable the persistent cache: every surviving cell is \
                simulated.")
 
+let json_doc_arg =
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
+         ~doc:"Write the result document as JSON to $(docv): explore's \
+               frontier with dominated-point attribution, or search's \
+               rung schedule, per-candidate scores, kept sets, winner and \
+               iteration totals. Byte-identical across reruns, job counts \
+               and cache states; cache counters are excluded (see \
+               $(b,--stats-json)).")
+
 let stats_json_arg =
   Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"PATH"
          ~doc:"Write this run's hit/miss/prune counters as JSON to \
@@ -597,7 +623,7 @@ let write_doc path json =
 
 let parse_constraints constraints =
   List.map
-    (fun s -> or_die (Mclock_explore.Metrics.parse_constraint s))
+    (fun s -> or_user_error (Mclock_explore.Metrics.parse_constraint s))
     constraints
 
 (* The [--smoke] defaults: the facet workload (unless one is given),
@@ -612,6 +638,16 @@ let smoke_defaults ~smoke ~workload ~file ~max_clocks ~iterations =
     Option.value max_clocks ~default:(if smoke then 2 else 4),
     Option.value iterations ~default:(if smoke then 120 else 400) )
 
+let open_cache ~no_cache dir =
+  if no_cache then None else Some (Mclock_explore.Store.open_ ~dir ())
+
+(* The options explore and search share, applied to [run]. *)
+let grid_options run =
+  Term.(
+    const run $ workload_arg $ file_arg $ max_clocks_arg $ constraint_arg
+    $ explore_iterations_arg $ seed_arg $ jobs_arg $ cache_dir_arg
+    $ no_cache_arg $ json_doc_arg $ stats_json_arg $ smoke_arg $ objective_arg)
+
 let sched_constraints_of ~workload =
   match workload with
   | Some n -> (
@@ -623,37 +659,27 @@ let sched_constraints_of ~workload =
 (* --- explore ----------------------------------------------------------------- *)
 
 let explore_cmd =
-  let json_arg =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
-           ~doc:"Write the frontier document (frontier + dominated-point \
-                 attribution) as JSON to $(docv). Byte-identical across \
-                 reruns and job counts; cache counters are excluded (see \
-                 $(b,--stats-json)).")
-  in
   let best_arg =
     Arg.(value & flag & info [ "best" ]
            ~doc:"Also print the best evaluated cell under the scalarized \
                  $(b,--objective) (default: pure power).")
   in
   let run workload file max_clocks constraints iterations seed jobs cache_dir
-      no_cache json stats_json smoke objective best trace trace_summary =
+      no_cache json stats_json smoke objective best () =
+    let open Mclock_explore in
     Option.iter (require_positive ~what:"--iterations") iterations;
     Option.iter (require_positive ~what:"--max-clocks") max_clocks;
-    Option.iter (require_positive ~what:"--jobs") jobs;
-    let any_functional_failure =
-      with_tracing ~name:"explore" ~trace ~trace_summary @@ fun () ->
+    let jobs = resolve_jobs jobs in
     let objective_opt =
-      Option.map (fun s -> or_die (Mclock_explore.Objective.parse s)) objective
+      Option.map (fun s -> or_user_error (Objective.parse s)) objective
     in
     (* --objective alone implies --best: parsing an objective and then
        not using it would be surprising. *)
     let best = best || objective_opt <> None in
-    let objective =
-      Option.value ~default:Mclock_explore.Objective.default objective_opt
-    in
+    let objective = Option.value ~default:Objective.default objective_opt in
     let all_workloads = workload = Some "all" in
     if all_workloads && file <> None then
-      or_die (Error "--workload all cannot be combined with --file");
+      user_error "--workload all cannot be combined with --file";
     let workload, max_clocks, iterations =
       smoke_defaults ~smoke ~workload ~file ~max_clocks ~iterations
     in
@@ -669,38 +695,30 @@ let explore_cmd =
               w.Mclock_workloads.Workload.constraints ))
           Mclock_workloads.Catalog.all
       else
-        let input = or_die (load ~workload ~file ~scheduler:`Annotated) in
-        [
-          ( design_name ~workload ~file,
-            input.graph,
-            sched_constraints_of ~workload );
-        ]
+        let input = load ~workload ~file ~scheduler:`Annotated in
+        [ (design_name ~workload ~file, input.graph, sched_constraints_of ~workload) ]
     in
-    let cache =
-      if no_cache then None else Some (Mclock_explore.Store.open_ ~dir:cache_dir ())
-    in
+    let cache = open_cache ~no_cache cache_dir in
     let results =
-      Mclock_exec.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
+      Mclock_exec.Pool.with_pool ~jobs (fun pool ->
           List.map
             (fun (name, graph, sched_constraints) ->
-              Mclock_explore.Engine.explore ~pool ?cache ~constraints ~seed
-                ~iterations ~max_clocks ~name ~sched_constraints graph)
+              Engine.explore ~pool ?cache ~constraints ~seed ~iterations
+                ~max_clocks ~name ~sched_constraints graph)
             targets)
     in
     List.iter
       (fun result ->
-        if all_workloads then
-          Printf.printf "== %s ==\n" result.Mclock_explore.Engine.workload;
-        print_string (Mclock_explore.Engine.render_text result);
+        if all_workloads then Printf.printf "== %s ==\n" result.Engine.workload;
+        print_string (Engine.render_text result);
         if best then
-          match Mclock_explore.Engine.best ~objective result with
+          match Engine.best ~objective result with
           | Some (cell, score) ->
               Printf.printf "best (%s): %s (score %.4f)\n"
-                (Mclock_explore.Objective.to_string objective)
-                cell.Mclock_explore.Engine.cell_label score
+                (Objective.to_string objective) cell.Engine.cell_label score
           | None ->
               Printf.printf "best (%s): none (no evaluated functional cell)\n"
-                (Mclock_explore.Objective.to_string objective))
+                (Objective.to_string objective))
       results;
     (* Single-workload documents keep their original shape (CI diffs
        them byte-for-byte); "all" wraps per-workload documents in one
@@ -711,39 +729,24 @@ let explore_cmd =
           Mclock_util.Json.Obj
             [ ("workloads", Mclock_util.Json.List (List.map one_of_each many)) ]
     in
-    Option.iter
-      (fun p -> write_doc p (doc_of Mclock_explore.Engine.frontier_json results))
-      json;
-    Option.iter
-      (fun p -> write_doc p (doc_of Mclock_explore.Engine.stats_json results))
-      stats_json;
-      List.exists
-        (fun result ->
-          List.exists
-            (fun (c : Mclock_explore.Engine.cell) ->
-              match c.Mclock_explore.Engine.status with
-              | Mclock_explore.Engine.Cached m
-              | Mclock_explore.Engine.Simulated m ->
-                  not m.Mclock_explore.Metrics.functional_ok
-              | Mclock_explore.Engine.Pruned _ -> false)
-            result.Mclock_explore.Engine.cells)
-        results
+    Option.iter (fun p -> write_doc p (doc_of Engine.frontier_json results)) json;
+    Option.iter (fun p -> write_doc p (doc_of Engine.stats_json results)) stats_json;
+    let failed (c : Engine.cell) =
+      match c.Engine.status with
+      | Engine.Cached m | Engine.Simulated m -> not m.Metrics.functional_ok
+      | Engine.Pruned _ -> false
     in
-    if any_functional_failure then exit 2
+    if List.exists (fun r -> List.exists failed r.Engine.cells) results then 2
+    else 0
   in
-  Cmd.v
-    (Cmd.info "explore"
-       ~doc:"Explore the scheduler x allocator x clock-count x transfers x \
-             voltage design space; prune with pre-simulation bounds, reuse \
-             the persistent evaluation cache, and report the \
-             power/area/latency Pareto frontier.  $(b,--workload all) \
-             iterates the whole catalog in one pool session against one \
-             shared cache.")
-    Term.(
-      const run $ workload_arg $ file_arg $ max_clocks_arg $ constraint_arg
-      $ explore_iterations_arg $ seed_arg $ jobs_arg $ cache_dir_arg
-      $ no_cache_arg $ json_arg $ stats_json_arg $ smoke_arg $ objective_arg
-      $ best_arg $ trace_arg $ trace_summary_arg)
+  subcommand "explore" ~traced:true
+    ~doc:"Explore the scheduler x allocator x clock-count x transfers x \
+          voltage design space; prune with pre-simulation bounds, reuse \
+          the persistent evaluation cache, and report the \
+          power/area/latency Pareto frontier.  $(b,--workload all) \
+          iterates the whole catalog in one pool session against one \
+          shared cache."
+    Term.(grid_options run $ best_arg)
 
 (* --- search ------------------------------------------------------------------ *)
 
@@ -759,84 +762,55 @@ let search_cmd =
            ~doc:"First rung's iteration budget (default: iterations/16, \
                  at least 1).")
   in
-  let json_arg =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
-           ~doc:"Write the search document (rung schedule, per-candidate \
-                 scores, kept sets, winner, iteration totals) as JSON to \
-                 $(docv). Byte-identical across reruns, job counts and \
-                 cache states; cache counters are excluded (see \
-                 $(b,--stats-json)).")
-  in
   let run workload file max_clocks constraints iterations seed jobs cache_dir
-      no_cache json stats_json smoke eta min_iterations objective trace
-      trace_summary =
+      no_cache json stats_json smoke objective eta min_iterations () =
+    let open Mclock_explore in
     require_at_least ~what:"--eta" ~min:2 eta;
     Option.iter (require_positive ~what:"--iterations") iterations;
     Option.iter (require_positive ~what:"--min-iterations") min_iterations;
     Option.iter (require_positive ~what:"--max-clocks") max_clocks;
-    Option.iter (require_positive ~what:"--jobs") jobs;
+    let jobs = resolve_jobs jobs in
     let workload, max_clocks, iterations =
       smoke_defaults ~smoke ~workload ~file ~max_clocks ~iterations
     in
     Option.iter
       (fun m ->
         if m > iterations then
-          or_die
-            (Error
-               (Printf.sprintf
-                  "--min-iterations (%d) must not exceed --iterations (%d)" m
-                  iterations)))
+          user_error "--min-iterations (%d) must not exceed --iterations (%d)"
+            m iterations)
       min_iterations;
     let objective =
       match objective with
-      | None -> Mclock_explore.Objective.default
-      | Some s -> or_die (Mclock_explore.Objective.parse s)
+      | None -> Objective.default
+      | Some s -> or_user_error (Objective.parse s)
     in
     let constraints = parse_constraints constraints in
-    let no_winner =
-      with_tracing ~name:"search" ~trace ~trace_summary @@ fun () ->
-    let input = or_die (load ~workload ~file ~scheduler:`Annotated) in
+    let input = load ~workload ~file ~scheduler:`Annotated in
     let name = design_name ~workload ~file in
     let sched_constraints = sched_constraints_of ~workload in
-    let cache =
-      if no_cache then None
-      else Some (Mclock_explore.Store.open_ ~dir:cache_dir ())
-    in
+    let cache = open_cache ~no_cache cache_dir in
     let result =
-      Mclock_exec.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
-          Mclock_explore.Halving.run ~pool ?cache ~eta ?min_iterations
-            ~constraints ~seed ~iterations ~max_clocks ~objective ~name
-            ~sched_constraints input.graph)
+      Mclock_exec.Pool.with_pool ~jobs (fun pool ->
+          Halving.run ~pool ?cache ~eta ?min_iterations ~constraints ~seed
+            ~iterations ~max_clocks ~objective ~name ~sched_constraints
+            input.graph)
     in
-    Option.iter
-      (fun msg -> Fmt.epr "warning: %s@." msg)
-      result.Mclock_explore.Halving.degenerate;
-    print_string (Mclock_explore.Halving.render_text result);
-    Option.iter
-      (fun p -> write_doc p (Mclock_explore.Halving.result_json result))
-      json;
-    Option.iter
-      (fun p -> write_doc p (Mclock_explore.Halving.stats_json result))
-      stats_json;
-      result.Mclock_explore.Halving.winner = None
-    in
-    if no_winner then exit 2
+    Option.iter (fun msg -> Fmt.epr "warning: %s@." msg) result.Halving.degenerate;
+    print_string (Halving.render_text result);
+    Option.iter (fun p -> write_doc p (Halving.result_json result)) json;
+    Option.iter (fun p -> write_doc p (Halving.stats_json result)) stats_json;
+    if result.Halving.winner = None then 2 else 0
   in
-  Cmd.v
-    (Cmd.info "search"
-       ~doc:"Successive-halving multi-fidelity search of the design space: \
-             evaluate everything cheaply, keep the best ceil(n/eta) under \
-             the scalarized objective, double down on the survivors until \
-             one rung runs at full fidelity. Shares the persistent \
-             evaluation cache with $(b,mclock explore); results are \
-             byte-identical across job counts and cache states. Each \
-             rung resumes the survivors' simulations from the previous \
-             rung's checkpoints instead of restarting them.")
-    Term.(
-      const run $ workload_arg $ file_arg $ max_clocks_arg $ constraint_arg
-      $ explore_iterations_arg $ seed_arg $ jobs_arg $ cache_dir_arg
-      $ no_cache_arg $ json_arg $ stats_json_arg $ smoke_arg $ eta_arg
-      $ min_iterations_arg $ objective_arg $ trace_arg $ trace_summary_arg)
+  subcommand "search" ~traced:true
+    ~doc:"Successive-halving multi-fidelity search of the design space: \
+          evaluate everything cheaply, keep the best ceil(n/eta) under \
+          the scalarized objective, double down on the survivors until \
+          one rung runs at full fidelity. Shares the persistent \
+          evaluation cache with $(b,mclock explore); results are \
+          byte-identical across job counts and cache states. Each \
+          rung resumes the survivors' simulations from the previous \
+          rung's checkpoints instead of restarting them."
+    Term.(grid_options run $ eta_arg $ min_iterations_arg)
 
 (* --- estimate ------------------------------------------------------------ *)
 
@@ -846,10 +820,6 @@ let estimate_cmd =
            ~doc:"Stimulus statistics: $(b,uniform), $(b,correlated:P), \
                  $(b,ramp:K) or $(b,constant).")
   in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Emit the analysis as machine-readable JSON.")
-  in
   let compare_arg =
     Arg.(value & flag & info [ "compare" ]
            ~doc:"Also run the simulator under the same stimulus model and \
@@ -857,12 +827,9 @@ let estimate_cmd =
                  check; exits 3 if any component exceeds its certified \
                  bound.")
   in
-  let run workload file scheduler method_ clocks iterations seed stimulus json
-      compare =
-    let input = or_die (load ~workload ~file ~scheduler) in
-    let m = method_of (method_, clocks) in
-    let name = design_name ~workload ~file in
-    let stimulus = or_die (Mclock_static.Stim.parse stimulus) in
+  let run source m iterations seed stimulus json compare () =
+    let name, input = source () in
+    let stimulus = or_user_error (Mclock_static.Stim.parse stimulus) in
     let design = Mclock_core.Flow.synthesize ~method_:m ~name input.schedule in
     let analysis =
       Mclock_static.Analyze.run ~stimulus ~iterations tech design
@@ -880,31 +847,26 @@ let estimate_cmd =
            (Mclock_static.Report.to_json ?comparison analysis))
     else print_string (Mclock_static.Report.to_text ?comparison analysis);
     match comparison with
-    | Some c when not c.Mclock_static.Report.sound -> exit 3
-    | _ -> ()
+    | Some c when not c.Mclock_static.Report.sound -> 3
+    | _ -> 0
   in
-  Cmd.v
-    (Cmd.info "estimate"
-       ~doc:"Simulation-free static power analysis: expected power under a \
-             stimulus model plus a certified upper bound, per component and \
-             mechanism.")
+  subcommand "estimate"
+    ~doc:"Simulation-free static power analysis: expected power under a \
+          stimulus model plus a certified upper bound, per component and \
+          mechanism."
     Term.(
-      const run $ workload_arg $ file_arg $ scheduler_arg $ method_arg
-      $ clocks_arg $ iterations_arg $ seed_arg $ stimulus_arg $ json_arg
-      $ compare_arg)
+      const run $ source_arg $ method_arg $ iterations_arg $ seed_arg
+      $ stimulus_arg $ json_flag $ compare_arg)
 
 let cache_cmd =
   let module Store = Mclock_explore.Store in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON.")
-  in
   let stats_cmd =
     let rebuild_arg =
       Arg.(value & flag & info [ "rebuild" ]
              ~doc:"Rescan the cache directory and rewrite the manifest \
                    instead of trusting an existing one.")
     in
-    let run cache_dir rebuild json =
+    let run cache_dir rebuild json () =
       let store = Store.open_ ~dir:cache_dir () in
       let m = Store.manifest ~rebuild store in
       if json then
@@ -920,14 +882,14 @@ let cache_cmd =
       else
         Fmt.pr "%s: %d entries, %d bytes%s@." (Store.dir store)
           m.Store.m_entries m.Store.m_bytes
-          (if m.Store.m_rebuilt then " (manifest rebuilt)" else "")
+          (if m.Store.m_rebuilt then " (manifest rebuilt)" else "");
+      0
     in
-    Cmd.v
-      (Cmd.info "stats"
-         ~doc:"Entry-count and byte totals for the evaluation cache \
-               (metrics entries plus checkpoint sidecars), O(1) via the \
-               manifest when one is present.")
-      Term.(const run $ cache_dir_arg $ rebuild_arg $ json_arg)
+    subcommand "stats"
+      ~doc:"Entry-count and byte totals for the evaluation cache \
+            (metrics entries plus checkpoint sidecars), O(1) via the \
+            manifest when one is present."
+      Term.(const run $ cache_dir_arg $ rebuild_arg $ json_flag)
   in
   let gc_cmd =
     let max_age_arg =
@@ -944,20 +906,16 @@ let cache_cmd =
                    the oldest/newest would-be victims — without deleting \
                    anything or touching the manifest.")
     in
-    let run cache_dir max_age max_size dry_run json =
-      (match (max_age, max_size) with
-      | None, None ->
-          or_die (Error "cache gc: give --max-age and/or --max-size")
-      | _ -> ());
-      (match max_age with
-      | Some a when a < 0. -> or_die (Error "--max-age must be >= 0")
-      | _ -> ());
-      (match max_size with
-      | Some s when s < 0 -> or_die (Error "--max-size must be >= 0")
-      | _ -> ());
+    let run cache_dir max_age max_size dry_run json () =
+      if max_age = None && max_size = None then
+        user_error "cache gc: give --max-age and/or --max-size";
+      if Option.fold ~none:false ~some:(fun a -> a < 0.) max_age then
+        user_error "--max-age must be >= 0";
+      if Option.fold ~none:false ~some:(fun s -> s < 0) max_size then
+        user_error "--max-size must be >= 0";
       let store = Store.open_ ~dir:cache_dir () in
       let r = Store.gc ?max_age ?max_bytes:max_size ~dry_run store in
-      if json then
+      if json then begin
         let mtime_json = function
           | None -> Mclock_util.Json.Null
           | Some m -> Mclock_util.Json.Float m
@@ -979,6 +937,7 @@ let cache_cmd =
                   ("oldest_removed", mtime_json r.Store.gc_oldest_removed);
                   ("newest_removed", mtime_json r.Store.gc_newest_removed);
                 ]))
+      end
       else begin
         Fmt.pr "%s: %s %d entries (%d bytes), %d entries (%d bytes) %s@."
           (Store.dir store)
@@ -992,29 +951,43 @@ let cache_cmd =
             Fmt.pr "  victims span %.0fs to %.0fs old@." (now -. newest)
               (now -. oldest)
         | _ -> ()
-      end
+      end;
+      0
     in
-    Cmd.v
-      (Cmd.info "gc"
-         ~doc:"Bounded eviction over the evaluation cache: drop entries \
-               older than $(b,--max-age), then evict oldest-first down to \
-               $(b,--max-size) bytes.  Result and checkpoint entries are \
-               treated uniformly; the manifest is rewritten with the \
-               post-GC totals.  $(b,--dry-run) only reports.")
+    subcommand "gc"
+      ~doc:"Bounded eviction over the evaluation cache: drop entries \
+            older than $(b,--max-age), then evict oldest-first down to \
+            $(b,--max-size) bytes.  Result and checkpoint entries are \
+            treated uniformly; the manifest is rewritten with the \
+            post-GC totals.  $(b,--dry-run) only reports."
       Term.(const run $ cache_dir_arg $ max_age_arg $ max_size_arg
-            $ dry_run_arg $ json_arg)
+            $ dry_run_arg $ json_flag)
   in
   Cmd.group
-    (Cmd.info "cache"
+    (Cmd.info "cache" ~exits
        ~doc:"Inspect and bound the persistent evaluation cache.")
     [ stats_cmd; gc_cmd ]
 
+(* The one exit: a subcommand's code, or 1 for a [User_error] raised
+   anywhere in it — caught here, after its finalizers have run.  Any
+   other exception is a bug, reported as such with Cmdliner's internal
+   error code. *)
 let () =
-  let info =
-    Cmd.info "mclock" ~version:"1.0.0"
-      ~doc:"Multi-clock RTL power-management synthesis (DAC'96 reproduction)."
+  let mclock =
+    Cmd.group
+      (Cmd.info "mclock" ~version:"1.0.0" ~exits
+         ~doc:"Multi-clock RTL power-management synthesis (DAC'96 reproduction).")
+      [ list_cmd; show_cmd; synth_cmd; lint_cmd; table_cmd; waves_cmd;
+        sweep_cmd; explore_cmd; search_cmd; estimate_cmd; controller_cmd;
+        calibrate_cmd; cache_cmd ]
   in
-  exit (Cmd.eval (Cmd.group info
-       [ list_cmd; show_cmd; synth_cmd; lint_cmd; table_cmd; waves_cmd;
-         sweep_cmd; explore_cmd; search_cmd; estimate_cmd; controller_cmd;
-         calibrate_cmd; cache_cmd ]))
+  exit
+    (match Cmd.eval' ~catch:false mclock with
+    | code -> code
+    | exception User_error msg ->
+        Fmt.epr "mclock: %s@." msg;
+        1
+    | exception e ->
+        Fmt.epr "@[<v 8>mclock: internal error, uncaught exception:@,%s@,%s@]@."
+          (Printexc.to_string e) (Printexc.get_backtrace ());
+        Cmd.Exit.internal_error)

@@ -683,46 +683,48 @@ let materialize ?stimulus k rng ~iterations =
   Simulator.materialize_stimulus ?stimulus rng ~inputs:k.graph_inputs
     ~width:k.width ~iterations
 
-let run ?(seed = 42) ?trace ?observer ?stimulus k ~iterations =
-  if iterations < 1 then invalid_arg "Simulator.run: iterations must be >= 1";
-  Mclock_obs.Obs.with_span ~cat:"sim" ~name:"sim.run"
-    ~attrs:[ ("iterations", string_of_int iterations) ]
-  @@ fun () ->
-  let ins = materialize ?stimulus k (Mclock_util.Rng.create seed) ~iterations in
-  let st = fresh_state k ~iterations ins.(0) in
-  let vcd_signals = setup_signals k trace in
-  exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
-    ~from_cycle:1 ~to_cycle:(iterations * k.t_steps) ();
-  finish k st ~iterations ~ins
+(* The one simulation driver behind [run], [run_with_checkpoint] and
+   [resume], and the only [sim.run] span.  [start ()] draws the stimulus
+   and returns it with the state to continue from, the first cycle to
+   execute and, to checkpoint, how to build one from a copy of the
+   state at the boundary.
 
-(* The checkpoint boundary sits one cycle before the end of the run:
-   cycle [iterations * t_steps] is the only cycle a longer run executes
+   The boundary sits one cycle before the end of the run: cycle
+   [iterations * t_steps] is the only cycle a longer run executes
    differently (it applies the next computation's inputs to
    register-backed ports), so the snapshot is taken before it and
-   [resume] re-executes it in extension form.  The charge sequence the
-   resumed run then emits — and with it every float accumulation, every
-   output row, the VCD sample stream — is exactly the uninterrupted
-   run's, which is what the differential suite pins down.
-
-   Consequence for tracing/observation: the prefix run samples cycles
-   [1 .. boundary - 1] only, and a resume into the same VCD samples
-   [boundary ..] — together byte-identical to an uninterrupted run's
-   dump.  The prefix's *result* still covers all its cycles. *)
-let run_with_checkpoint ?(seed = 42) ?trace ?observer ?stimulus k ~iterations =
-  if iterations < 1 then invalid_arg "Simulator.run: iterations must be >= 1";
+   [resume] re-executes it in extension form.  The charge sequence, and
+   with it every float accumulation, output row and VCD sample, is then
+   exactly the uninterrupted run's, which the differential suite pins
+   down.  So a checkpointing run traces and observes cycles up to
+   [boundary - 1] only; its result still covers all its cycles. *)
+let simulate ?trace ?observer ~attrs k ~iterations start =
   Mclock_obs.Obs.with_span ~cat:"sim" ~name:"sim.run"
-    ~attrs:
-      [ ("iterations", string_of_int iterations); ("checkpoint", "true") ]
+    ~attrs:(("iterations", string_of_int iterations) :: attrs)
+  @@ fun () ->
+  let ins, st, from_cycle, snapshot = start () in
+  let boundary = iterations * k.t_steps in
+  let vcd_signals = setup_signals k trace in
+  exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals ~from_cycle
+    ~to_cycle:(boundary - 1) ();
+  let ck = Option.map (fun make -> make (copy_state st)) snapshot in
+  let trace, observer, vcd_signals =
+    if Option.is_none ck then (trace, observer, vcd_signals) else (None, None, [])
+  in
+  exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
+    ~from_cycle:boundary ~to_cycle:boundary ();
+  (finish k st ~iterations ~ins, ck)
+
+(* A run from reset, with a checkpoint at its boundary when asked. *)
+let from_reset ~checkpoint ?(seed = 42) ?trace ?observer ?stimulus k ~iterations =
+  if iterations < 1 then invalid_arg "Simulator.run: iterations must be >= 1";
+  simulate ?trace ?observer k ~iterations
+    ~attrs:(if checkpoint then [ ("checkpoint", "true") ] else [])
   @@ fun () ->
   let rng = Mclock_util.Rng.create seed in
   let ins = materialize ?stimulus k rng ~iterations in
   let rng_after = Mclock_util.Rng.state rng in
-  let st = fresh_state k ~iterations ins.(0) in
-  let vcd_signals = setup_signals k trace in
-  let boundary = iterations * k.t_steps in
-  exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
-    ~from_cycle:1 ~to_cycle:(boundary - 1) ();
-  let ck =
+  let snapshot ck_state =
     {
       ck_width = k.width;
       ck_t_steps = k.t_steps;
@@ -734,12 +736,19 @@ let run_with_checkpoint ?(seed = 42) ?trace ?observer ?stimulus k ~iterations =
       ck_stimulus = stimulus <> None;
       ck_rng = rng_after;
       ck_inputs = ins;
-      ck_state = copy_state st;
+      ck_state;
     }
   in
-  exec_range k st ~ins ~iterations ~vcd_signals:[] ~from_cycle:boundary
-    ~to_cycle:boundary ();
-  (finish k st ~iterations ~ins, ck)
+  (ins, fresh_state k ~iterations ins.(0), 1, if checkpoint then Some snapshot else None)
+
+let run ?seed ?trace ?observer ?stimulus k ~iterations =
+  fst (from_reset ~checkpoint:false ?seed ?trace ?observer ?stimulus k ~iterations)
+
+let with_checkpoint (result, ck) = (result, Option.get ck)
+
+let run_with_checkpoint ?seed ?trace ?observer ?stimulus k ~iterations =
+  with_checkpoint
+    (from_reset ~checkpoint:true ?seed ?trace ?observer ?stimulus k ~iterations)
 
 let resume ?trace ?observer ?stimulus k ck ~iterations =
   if ck.ck_width <> k.width || ck.ck_t_steps <> k.t_steps
@@ -750,6 +759,10 @@ let resume ?trace ?observer ?stimulus k ck ~iterations =
   if iterations <= ck.ck_iterations then
     invalid_arg "Compiled.resume: iterations must exceed the checkpoint's";
   let k1 = ck.ck_iterations in
+  with_checkpoint
+  @@ simulate ?trace ?observer k ~iterations
+       ~attrs:[ ("checkpoint", "true"); ("resumed_from", string_of_int k1) ]
+  @@ fun () ->
   let ins, rng_after =
     match stimulus with
     | Some _ ->
@@ -778,23 +791,17 @@ let resume ?trace ?observer ?stimulus k ck ~iterations =
   in
   let st = copy_state ck.ck_state in
   st.s_outputs <- Array.append st.s_outputs (output_rows k (iterations - k1));
-  let vcd_signals = setup_signals k trace in
-  let boundary = iterations * k.t_steps in
-  exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
-    ~from_cycle:(k1 * k.t_steps) ~to_cycle:(boundary - 1) ();
-  let ck' =
+  let snapshot ck_state =
     {
       ck with
       ck_iterations = iterations;
       ck_stimulus = ck.ck_stimulus || stimulus <> None;
       ck_rng = rng_after;
       ck_inputs = ins;
-      ck_state = copy_state st;
+      ck_state;
     }
   in
-  exec_range k st ~ins ~iterations ~vcd_signals:[] ~from_cycle:boundary
-    ~to_cycle:boundary ();
-  (finish k st ~iterations ~ins, ck')
+  (ins, st, k1 * k.t_steps, Some snapshot)
 
 (* --- Checkpoint serialization ------------------------------------------ *)
 

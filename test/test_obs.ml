@@ -417,6 +417,46 @@ let test_trace_does_not_change_frontier () =
     (List.exists (fun ev -> ev.Obs.ev_name = "explore.evaluate") events
     || List.exists (fun ev -> ev.Obs.ev_name = "explore.simulate") events)
 
+(* --- Trace accounting: every simulation is one sim.run span -------------- *)
+
+(* A smoke-scale search on a fresh store simulates every cell it
+   evaluates, fresh in rung 1 and resumed from a checkpoint afterwards;
+   each of those simulations must be one [sim.run] span inside its
+   [explore.simulate] span. *)
+let test_trace_accounts_every_simulation () =
+  let w = Mclock_workloads.Facet.t in
+  let dir = temp_dir () in
+  let cache = Mclock_explore.Store.open_ ~dir () in
+  let result, events =
+    with_trace (fun () ->
+        let r =
+          Mclock_exec.Pool.with_pool ~jobs:1 (fun pool ->
+              Mclock_explore.Halving.run ~pool ~cache ~seed:42 ~iterations:120
+                ~max_clocks:2 ~name:"facet"
+                ~sched_constraints:w.Mclock_workloads.Workload.constraints
+                (Mclock_workloads.Workload.graph w))
+        in
+        (r, Obs.stop ()))
+  in
+  rm_rf dir;
+  let stats = result.Mclock_explore.Halving.stats in
+  let spans name = List.filter (fun ev -> ev.Obs.ev_name = name) events in
+  let total name =
+    List.fold_left (fun t ev -> t +. ev.Obs.ev_dur_us) 0. (spans name)
+  in
+  let runs = List.length (spans "sim.run") in
+  check Alcotest.bool "some simulations resumed" true
+    (stats.Mclock_explore.Halving.resumed > 0);
+  check Alcotest.int "one sim.run per explore.simulate"
+    (List.length (spans "explore.simulate"))
+    runs;
+  check Alcotest.int "one sim.run per simulated cell"
+    stats.Mclock_explore.Halving.simulated runs;
+  if total "sim.run" > total "explore.simulate" then
+    fail
+      (Printf.sprintf "sim.run total %.0f us exceeds explore.simulate's %.0f us"
+         (total "sim.run") (total "explore.simulate"))
+
 let suite =
   [
     ("counter atomic across domains", `Quick, test_counter_atomic_across_domains);
@@ -433,4 +473,5 @@ let suite =
     ("store stats parity", `Quick, test_store_stats_parity);
     ("pool registry counts tasks", `Quick, test_pool_registry_counts_tasks);
     ("tracing keeps frontier bytes", `Quick, test_trace_does_not_change_frontier);
+    ("trace accounts every simulation", `Quick, test_trace_accounts_every_simulation);
   ]

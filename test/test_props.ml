@@ -12,7 +12,7 @@ open Mclock_dfg
 module B = Mclock_util.Bitvec
 module Q = QCheck
 
-let to_alcotest = QCheck_alcotest.to_alcotest
+let to_alcotest = Seeded.to_alcotest
 
 (* --- Generators ------------------------------------------------------------ *)
 

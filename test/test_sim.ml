@@ -358,6 +358,6 @@ let suite =
   ]
   @ functional_tests
   @ [
-      QCheck_alcotest.to_alcotest prop_oracle_matches_fold;
+      Seeded.to_alcotest prop_oracle_matches_fold;
       ("verify pinpoints corruption", `Quick, test_verify_pinpoints_corruption);
     ]
