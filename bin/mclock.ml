@@ -42,8 +42,8 @@ let exits =
               diagnostic remains.";
       info 2
         ~doc:"on a functional failure: a simulated design disagrees with \
-              its golden model ($(b,synth), $(b,explore)), or $(b,search) \
-              finds no winner.";
+              its golden model ($(b,synth), $(b,table), $(b,sweep), \
+              $(b,explore)), or $(b,search) finds no winner.";
       info 3
         ~doc:"from $(b,estimate --compare) when the simulation exceeds a \
               certified static bound (an unsound static estimate).";
@@ -51,13 +51,28 @@ let exits =
       info internal_error ~doc:"on unexpected internal errors (bugs).";
     ]
 
-(* Uniform validation of count-like options: every subcommand rejects a
-   zero or negative value the same way, as a user error, instead of
-   hanging a worker pool or raising deep inside a library. *)
-let require_at_least ~what ~min n =
-  if n < min then user_error "%s must be >= %d (got %d)" what min n
+(* Uniform validation of count-like options: one converter, so every
+   subcommand rejects a value below [min] the same way ("mclock: --NAME
+   must be >= MIN (got N)", exit 1), while the command line is read.  A
+   zero count would otherwise hang a worker pool or raise deep inside a
+   library as an internal error. *)
+let at_least ~min what =
+  let parse s =
+    Result.map
+      (fun n ->
+        if n < min then user_error "%s must be >= %d (got %d)" what min n;
+        n)
+      (Arg.conv_parser Arg.int s)
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
-let require_positive ~what n = require_at_least ~what ~min:1 n
+(* Counts: clocks, computations, cycles, samples, jobs. *)
+let count what = at_least ~min:1 what
+
+(* Exit 2 when any evaluated design disagrees with its golden model. *)
+let functional_exit reports =
+  if List.for_all (fun r -> r.Mclock_power.Report.functional_ok) reports then 0
+  else 2
 
 (* --- Behaviour loading --------------------------------------------------- *)
 
@@ -149,7 +164,7 @@ let scheduler_arg =
          ~doc:"Scheduler for unannotated files: annotated, asap, alap or fds.")
 
 let clocks_arg =
-  Arg.(value & opt int 2 & info [ "n"; "clocks" ] ~docv:"N"
+  Arg.(value & opt (count "--clocks") 2 & info [ "n"; "clocks" ] ~docv:"N"
          ~doc:"Number of non-overlapping clocks (mc/split methods).")
 
 (* --method and --clocks together: the allocation flow to run. *)
@@ -177,22 +192,20 @@ let source_arg =
   Term.(const source $ workload_arg $ file_arg $ scheduler_arg)
 
 let iterations_arg =
-  Arg.(value & opt int 500 & info [ "iterations" ] ~docv:"N"
+  Arg.(value & opt (count "--iterations") 500 & info [ "iterations" ] ~docv:"N"
          ~doc:"Number of simulated computations for power estimation.")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Stimulus seed.")
 
 let jobs_arg =
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
+  Arg.(value & opt (some (count "--jobs")) None & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Worker domains for parallel evaluation. Defaults to the \
                $(b,MCLOCK_JOBS) environment variable, else one less than \
                the core count. Results are byte-identical for any value.")
 
 let resolve_jobs = function
-  | Some j ->
-      require_positive ~what:"--jobs" j;
-      j
+  | Some j -> j
   | None -> (
       try Mclock_exec.Pool.default_jobs ()
       with Invalid_argument msg -> raise (User_error msg))
@@ -365,7 +378,7 @@ let synth_cmd =
         | Some t -> write p (Mclock_sim.Vcd.contents t.Mclock_sim.Simulator.vcd)
         | None -> ())
       vcd;
-    if report.Mclock_power.Report.functional_ok then 0 else 2
+    functional_exit [ report ]
   in
   subcommand "synth" ~traced:true
     ~doc:"Synthesize one design; simulate, verify and report power/area."
@@ -427,30 +440,26 @@ let lint_cmd =
 (* --- table --------------------------------------------------------------------- *)
 
 let table_cmd =
-  let run workload file scheduler iterations seed jobs () =
-    require_positive ~what:"--iterations" iterations;
+  let run source iterations seed jobs () =
     let jobs = resolve_jobs jobs in
-    let input = load ~workload ~file ~scheduler in
-    let name = Option.value ~default:"design" workload in
+    let name, input = source () in
     let suite = Mclock_core.Flow.standard_suite ~name input.schedule in
-    Mclock_exec.Pool.with_pool ~jobs (fun pool ->
-        let reports =
+    let reports =
+      Mclock_exec.Pool.with_pool ~jobs (fun pool ->
           Mclock_power.Report.evaluate_batch ~pool ~seed ~iterations tech
             (List.map
                (fun (m, design) ->
                  (Mclock_core.Flow.method_label m, design, input.graph))
-               suite)
-        in
-        Mclock_util.Table.print
-          (Mclock_power.Report.paper_table
-             ~title:(Printf.sprintf "Multiple Clocks with Latches for %s" name)
-             reports));
-    0
+               suite))
+    in
+    Mclock_util.Table.print
+      (Mclock_power.Report.paper_table
+         ~title:(Printf.sprintf "Multiple Clocks with Latches for %s" name)
+         reports);
+    functional_exit reports
   in
   subcommand "table" ~traced:true ~doc:"The paper's five-design comparison table."
-    Term.(
-      const run $ workload_arg $ file_arg $ scheduler_arg $ iterations_arg
-      $ seed_arg $ jobs_arg)
+    Term.(const run $ source_arg $ iterations_arg $ seed_arg $ jobs_arg)
 
 (* --- controller ------------------------------------------------------------------ *)
 
@@ -473,7 +482,7 @@ let controller_cmd =
 
 let calibrate_cmd =
   let samples_arg =
-    Arg.(value & opt int 3000 & info [ "samples" ] ~docv:"N"
+    Arg.(value & opt (count "--samples") 3000 & info [ "samples" ] ~docv:"N"
            ~doc:"Random operand pairs per operation.")
   in
   let width_arg =
@@ -492,7 +501,8 @@ let calibrate_cmd =
 
 let waves_cmd =
   let cycles_arg =
-    Arg.(value & opt int 8 & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to draw.")
+    Arg.(value & opt (count "--cycles") 8 & info [ "cycles" ] ~docv:"N"
+           ~doc:"Cycles to draw.")
   in
   let run clocks cycles () =
     let c = Mclock_rtl.Clock.create ~phases:clocks ~frequency:tech.Mclock_tech.Library.clock_frequency in
@@ -507,11 +517,10 @@ let waves_cmd =
 
 let sweep_cmd =
   let max_arg =
-    Arg.(value & opt int 4 & info [ "max" ] ~docv:"N" ~doc:"Largest clock count.")
+    Arg.(value & opt (count "--max") 4 & info [ "max" ] ~docv:"N"
+           ~doc:"Largest clock count.")
   in
   let run source iterations seed max_n jobs () =
-    require_positive ~what:"--iterations" iterations;
-    require_positive ~what:"--max" max_n;
     let jobs = resolve_jobs jobs in
     let _, input = source () in
     let table =
@@ -550,7 +559,14 @@ let sweep_cmd =
           ])
       reports;
     Mclock_util.Table.print table;
-    0
+    flush stdout;
+    List.iter
+      (fun r ->
+        if not r.Mclock_power.Report.functional_ok then
+          Fmt.epr "%s clocks: MISMATCH against the golden model@."
+            r.Mclock_power.Report.label)
+      reports;
+    functional_exit reports
   in
   subcommand "sweep" ~traced:true ~doc:"Power/area across clock counts 1..N."
     Term.(
@@ -559,7 +575,7 @@ let sweep_cmd =
 (* --- explore / search shared options ------------------------------------- *)
 
 let max_clocks_arg =
-  Arg.(value & opt (some int) None & info [ "max-clocks" ] ~docv:"N"
+  Arg.(value & opt (some (count "--max-clocks")) None & info [ "max-clocks" ] ~docv:"N"
          ~doc:"Largest clock count in the exploration grid \
                (default 4; 2 under $(b,--smoke)).")
 
@@ -605,7 +621,7 @@ let smoke_arg =
                2 clocks, 120 computations per cell.")
 
 let explore_iterations_arg =
-  Arg.(value & opt (some int) None & info [ "iterations" ] ~docv:"N"
+  Arg.(value & opt (some (count "--iterations")) None & info [ "iterations" ] ~docv:"N"
          ~doc:"Simulated computations per cell (default 400; 120 under \
                $(b,--smoke)).")
 
@@ -667,8 +683,6 @@ let explore_cmd =
   let run workload file max_clocks constraints iterations seed jobs cache_dir
       no_cache json stats_json smoke objective best () =
     let open Mclock_explore in
-    Option.iter (require_positive ~what:"--iterations") iterations;
-    Option.iter (require_positive ~what:"--max-clocks") max_clocks;
     let jobs = resolve_jobs jobs in
     let objective_opt =
       Option.map (fun s -> or_user_error (Objective.parse s)) objective
@@ -752,23 +766,20 @@ let explore_cmd =
 
 let search_cmd =
   let eta_arg =
-    Arg.(value & opt int 2 & info [ "eta" ] ~docv:"N"
+    Arg.(value & opt (at_least ~min:2 "--eta") 2 & info [ "eta" ] ~docv:"N"
            ~doc:"Halving rate: each rung keeps the best ceil(n/$(docv)) \
                  candidates and multiplies the iteration budget by \
                  $(docv). Must be >= 2.")
   in
   let min_iterations_arg =
-    Arg.(value & opt (some int) None & info [ "min-iterations" ] ~docv:"N"
+    Arg.(value & opt (some (count "--min-iterations")) None
+         & info [ "min-iterations" ] ~docv:"N"
            ~doc:"First rung's iteration budget (default: iterations/16, \
                  at least 1).")
   in
   let run workload file max_clocks constraints iterations seed jobs cache_dir
       no_cache json stats_json smoke objective eta min_iterations () =
     let open Mclock_explore in
-    require_at_least ~what:"--eta" ~min:2 eta;
-    Option.iter (require_positive ~what:"--iterations") iterations;
-    Option.iter (require_positive ~what:"--min-iterations") min_iterations;
-    Option.iter (require_positive ~what:"--max-clocks") max_clocks;
     let jobs = resolve_jobs jobs in
     let workload, max_clocks, iterations =
       smoke_defaults ~smoke ~workload ~file ~max_clocks ~iterations

@@ -16,6 +16,7 @@ type t = {
 }
 
 val of_sim :
+  ?expected:Mclock_sim.Verify.expected ->
   label:string ->
   Mclock_tech.Library.t ->
   Mclock_rtl.Design.t ->
@@ -26,9 +27,13 @@ val of_sim :
 (** [of_sim ~label tech design graph ~iterations sim] verifies an
     existing simulation of [design] against golden evaluation of
     [graph] and collects the paper's table columns, without simulating
-    again. *)
+    again.  With [expected] (the golden table of the run's stimulus,
+    see {!Mclock_sim.Verify.expected}), it checks against that table
+    instead of re-running the golden interpreter; the report is the
+    same.  A table of another stimulus raises [Invalid_argument]. *)
 
 val evaluate :
+  ?expected:Mclock_sim.Verify.expected ->
   ?seed:int ->
   ?iterations:int ->
   label:string ->
@@ -37,7 +42,7 @@ val evaluate :
   Mclock_dfg.Graph.t ->
   t
 (** Simulate with the compiled kernel (default 400 computations), then
-    {!of_sim}. *)
+    {!of_sim}, with [expected] if given. *)
 
 val evaluate_resumable :
   ?seed:int ->
@@ -68,7 +73,9 @@ val evaluate_batch :
     [(label, design, graph)] cell across the pool's worker domains and
     returns the reports in cell order.  Each cell simulates from the
     same [seed], so the result is byte-identical to mapping
-    {!evaluate} serially — the pool only changes wall-clock time. *)
+    {!evaluate} serially — the pool only changes wall-clock time.
+    Cells with the same graph (physically), width and input columns
+    share one golden table, computed once before the fan-out. *)
 
 val paper_table : ?title:string -> t list -> Mclock_util.Table.t
 (** Power / Area / ALUs / Mem Cells / Mux In's rows, one per report. *)

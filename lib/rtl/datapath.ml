@@ -116,17 +116,20 @@ let alu_inventory_string t =
 
 (* --- Validation -------------------------------------------------------- *)
 
+(* [owner] names the referencing component in the error only: every
+   compile validates, and formatting a name per component up front was
+   most of the cost of a passing check. *)
 let check_source t ~owner src =
   match src with
   | Comp.From_const _ -> ()
   | Comp.From_comp id ->
       if not (IMap.mem id t.comps) then
-        invalid "component %s references missing component %d" owner id
+        invalid "component %s references missing component %d" (owner ()) id
 
 let validate t =
   List.iter
     (fun c ->
-      let owner = Printf.sprintf "c%d(%s)" (Comp.id c) (Comp.name c) in
+      let owner () = Printf.sprintf "c%d(%s)" (Comp.id c) (Comp.name c) in
       match Comp.kind c with
       | Comp.Input _ -> ()
       | Comp.Storage s -> check_source t ~owner s.Comp.s_input
@@ -135,12 +138,14 @@ let validate t =
           Option.iter (check_source t ~owner) a.Comp.a_src_b
       | Comp.Mux m ->
           if Array.length m.Comp.m_choices < 2 then
-            invalid "%s: mux with < 2 inputs" owner;
+            invalid "%s: mux with < 2 inputs" (owner ());
           Array.iter (check_source t ~owner) m.Comp.m_choices)
     (comps t);
   List.iter
     (fun (v, src) ->
-      check_source t ~owner:(Printf.sprintf "output %s" (Var.name v)) src)
+      check_source t
+        ~owner:(fun () -> Printf.sprintf "output %s" (Var.name v))
+        src)
     (outputs t);
   (* Combinational acyclicity: DFS over mux/ALU components, following
      fanin edges that lead to other combinational components. *)

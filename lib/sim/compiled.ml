@@ -21,10 +21,13 @@
      integer sources and hoisted energy coefficients (ALU internal
      energy is a table indexed by Hamming distance);
    - datapath values are raw int payloads; transitions are counted
-     with [Bitvec.popcount] on xors;
+     with a same-module copy of [Bitvec.popcount] on xors, so the
+     count inlines even where modules compile opaquely;
    - energy accumulates into a kernel-owned flat float array, charged
-     by an inlined same-module function, so no charge boxes its float
-     (see [charge]); the [Activity.t] is built once, when the run ends;
+     by an inlined same-module function, and the running total is a
+     local unboxed float of the cycle loop, so no charge boxes its
+     float or round-trips through memory (see [charge]); the
+     [Activity.t] is built once, when the run ends;
    - primary inputs are read from, and output taps written to, the
      run's int matrices (one row per computation, one column per
      variable), so no map is touched per cycle;
@@ -38,6 +41,20 @@
    Sequential elements are walked through a per-(step, phase) active
    list — a phase-divided partition's storages are touched only during
    their duty cycle (gated or loading storages are always active).
+
+   Which instructions can see a current stamp is itself a static fact
+   of the schedule once the controls settle: after the first period,
+   every cycle of step [s] replays the same select and function
+   changes, busy lines and load lines.  [compile] therefore lists, per
+   steady step, the instructions that can act — a select or function
+   change, an isolated ALU's busy edge, or an operand that can carry
+   this cycle's stamp (a port applied at [s], a storage loaded at the
+   step before, an instruction listed earlier) — and later cycles walk
+   only that list, with every stamp check kept.  The first period
+   scans every instruction: cycle 1 evaluates everything from reset,
+   and its held controls are the transient [first_ctrl] ones.  The
+   instructions of a partition that is idle at a step are then not
+   visited at all.
    Skipping is sound for energy because a skipped evaluation would have
    found a zero Hamming distance, and zero charges are dropped by
    [charge] here and by [Activity.add] in the reference; the emitted
@@ -92,7 +109,10 @@ let encode_src mask = function
   | Comp.From_comp id -> id
   | Comp.From_const c -> -1 - (c land mask)
 
-let src_val values s = if s >= 0 then values.(s) else -1 - s
+let[@inline] src_val values s = if s >= 0 then values.(s) else -1 - s
+
+(* Whether encoded source [src] is a component marked with [s]. *)
+let[@inline] marked marks s src = src >= 0 && marks.(src) = s
 
 type step_ctrl = {
   sc_sel : (int * int) array; (* (mux, select) writes that change state *)
@@ -142,6 +162,8 @@ type t = {
   busy_at : bool array array; (* by step - 1: id -> ALU scheduled *)
   reset_ops : int array; (* id -> ALU function code at reset *)
   instrs : instr array; (* combinational order *)
+  walk_all : int array; (* every instruction index: the first period *)
+  walk_at : int array array; (* by step - 1: instructions that can act *)
   stors_at : stor array array array; (* step -> phase -> active storages *)
   taps_at : (int * int) array array; (* step -> (column, source) ready *)
   e_port : float;
@@ -293,6 +315,72 @@ let compile tech design =
            if (reg >= 0) = registered then Some (col, port) else None)
          (Array.to_list reset))
   in
+  let direct_ports = ports false and reg_ports = ports true in
+  (* Steady-state walk lists.  After the first period every cycle of
+     step [s] replays the same controls, so which instructions can see
+     a current stamp is a static fact of the schedule: one whose
+     select or function changes at [s], an isolated ALU whose busy
+     line changes (it charges the edge and its [alu_busy_prev] must
+     follow; a plain ALU's is set when a range ends, see
+     [exec_range]), or one with an operand that can carry this
+     cycle's stamp — a port applied at [s], a storage loaded at the
+     step before, or an instruction earlier in the list.
+     [stamped.(id) = s] marks the values that can change at step [s];
+     one pass in combinational order per step builds the list, in
+     O(instructions + storages + ports). *)
+  let n_instrs = Array.length instrs in
+  let stor_ids = Array.of_list (List.map (fun st -> st.st_id) stor_list) in
+  let stamped = Array.make (max_id + 1) 0 in
+  let buf = Array.make n_instrs 0 in
+  let walk_at =
+    Array.init t_steps (fun i ->
+        let s = i + 1 and at = model.steady.(i) in
+        let prev = model.steady.((i + t_steps - 1) mod t_steps) in
+        if s = 1 then
+          for j = 0 to Array.length direct_ports - 1 do
+            stamped.(snd direct_ports.(j)) <- s
+          done;
+        if s = t_steps then
+          for j = 0 to Array.length reg_ports - 1 do
+            stamped.(snd reg_ports.(j)) <- s
+          done;
+        for j = 0 to Array.length stor_ids - 1 do
+          let id = stor_ids.(j) in
+          if prev.loads.(id) then stamped.(id) <- s
+        done;
+        let n = ref 0 in
+        for idx = 0 to n_instrs - 1 do
+          match instrs.(idx) with
+          | I_mux { mx_id = id; mx_choices } ->
+              let sel = at.sel.(id) in
+              if
+                at.sel_changed.(id) || sel < 0
+                || sel >= Array.length mx_choices
+                || marked stamped s mx_choices.(sel)
+              then begin
+                buf.(!n) <- idx;
+                incr n;
+                stamped.(id) <- s
+              end
+          | I_alu a ->
+              let id = a.al_id in
+              (* An isolated ALU off duty evaluates nothing and holds
+                 its output; it acts on its busy edges alone. *)
+              let on = at.busy.(id) || not a.al_isolated in
+              if
+                (a.al_isolated && at.busy.(id) <> prev.busy.(id))
+                || on
+                   && (at.op_changed.(id)
+                      || marked stamped s a.al_src_a
+                      || marked stamped s a.al_src_b)
+              then begin
+                buf.(!n) <- idx;
+                incr n;
+                if on then stamped.(id) <- s
+              end
+        done;
+        Array.sub buf 0 !n)
+  in
   let output_vars = Simulator.output_columns design in
   let taps_at =
     Array.init (t_steps + 1) (fun step ->
@@ -316,8 +404,8 @@ let compile tech design =
     graph_inputs;
     input_vars = Simulator.input_columns design;
     output_vars;
-    direct_ports = ports false;
-    reg_ports = ports true;
+    direct_ports;
+    reg_ports;
     reset;
     first_ctrl;
     steady_ctrl;
@@ -326,6 +414,8 @@ let compile tech design =
     reset_ops =
       Array.map (function Some op -> op_code op | None -> 0) model.reset_op;
     instrs;
+    walk_all = Array.init n_instrs Fun.id;
+    walk_at;
     stors_at;
     taps_at;
     e_port = ept tech.L.register.L.output_cap_per_bit;
@@ -458,19 +548,32 @@ let setup_signals k trace =
 
 (* The kernel's energy accumulator is its own: [cells] is the flat
    array {!Activity.of_raw} takes ([comp * num_categories + category]),
-   [total] the running sum in a one-slot float array (a mutable float
-   field in a mixed record would box on every write).  Inlined from
-   this module, a charge is unboxed float arithmetic and two array
-   stores; [Activity.add] is an opaque call under separate compilation
-   and boxes its argument.  The semantics are [Activity.add]'s: zero
-   charges are dropped, the cell is updated before the total, so every
-   float accumulation matches the reference kernel's bit for bit. *)
-let[@inline] charge cells total comp cat pj =
+   and the running total is a local float of [exec_range], threaded
+   through [charge] and stored in the state's one-slot [s_total] when
+   the range ends (a mutable float field in a mixed record, or the
+   slot itself, would be a memory round trip or a box on every
+   charge).  Inlined from this module, a charge is unboxed float
+   arithmetic and one array store; [Activity.add] is an opaque call
+   under separate compilation and boxes its argument.  The semantics
+   are [Activity.add]'s: zero charges are dropped, the cell is updated
+   before the total, so every float accumulation matches the reference
+   kernel's bit for bit. *)
+let[@inline] charge cells comp cat pj total =
   if pj <> 0. then begin
     let i = (comp * Activity.num_categories) + cat in
     cells.(i) <- cells.(i) +. pj;
-    total.(0) <- total.(0) +. pj
+    total +. pj
   end
+  else total
+
+(* [Bitvec.popcount], restated so it inlines into the hot loop: a build
+   that compiles modules opaquely makes every cross-module call a real
+   call, and this one runs several times per instruction. *)
+let[@inline] popcount x =
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (x * 0x0101010101010101) lsr 56
 
 let cat_clock = Activity.category_index Activity.Clock
 let cat_storage_write = Activity.category_index Activity.Storage_write
@@ -482,10 +585,30 @@ let cat_control = Activity.category_index Activity.Control
 let cat_isolation = Activity.category_index Activity.Isolation
 let cat_gating = Activity.category_index Activity.Gating
 
+(* Fresh input values onto [ports]; returns the updated total. *)
+let[@inline] apply_ports k values val_stamp cells ~cycle row ports total =
+  let total = ref total in
+  for i = 0 to Array.length ports - 1 do
+    let col, port = ports.(i) in
+    let fresh = row.(col) in
+    let h = popcount (values.(port) lxor fresh) in
+    if h > 0 then begin
+      total := charge cells port cat_data (float_of_int h *. k.e_port) !total;
+      values.(port) <- fresh;
+      val_stamp.(port) <- cycle
+    end
+  done;
+  !total
+
 (* Execute cycles [from_cycle .. to_cycle] of a run totalling
    [iterations] computations.  The body is the hot path; all state
    arrays are re-bound to locals once per range, and every walk is an
-   index loop so a cycle allocates nothing. *)
+   index loop so a cycle allocates nothing.  The first period scans
+   every instruction (cycle 1 evaluates everything from reset, and the
+   held controls only settle into the steady replay at its end); every
+   later cycle walks its step's [walk_at] list.  Both walks keep every
+   stamp check, so a listed instruction whose operands did not change
+   is still skipped, and the charge sequence is the full scan's. *)
 let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
     ~from_cycle ~to_cycle () =
   let width = k.width in
@@ -500,8 +623,9 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
   let alu_busy_prev = st.s_alu_busy_prev in
   let load_prev = st.s_load_prev in
   let cells = st.s_cells in
-  let total = st.s_total in
+  let total = ref st.s_total.(0) in
   let outs = st.s_outputs in
+  let instrs = k.instrs in
   let record_trace cycle =
     match trace with
     | Some { Simulator.vcd; max_cycles } when cycle <= max_cycles ->
@@ -511,50 +635,53 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
              vcd_signals)
     | Some _ | None -> ()
   in
-  let apply_ports ~cycle row ports =
-    for i = 0 to Array.length ports - 1 do
-      let col, port = ports.(i) in
-      let fresh = row.(col) in
-      let h = B.popcount (values.(port) lxor fresh) in
-      if h > 0 then begin
-        charge cells total port cat_data (float_of_int h *. k.e_port);
-        values.(port) <- fresh;
-        val_stamp.(port) <- cycle
-      end
-    done
-  in
+  (* Step, computation and phase advance by counting, not dividing. *)
+  let phases = Clock.phases k.clock in
+  let next_step = ref (((from_cycle - 1) mod k.t_steps) + 1) in
+  let next_iter = ref ((from_cycle - 1) / k.t_steps) in
+  let next_phase = ref (Clock.phase_of_cycle k.clock from_cycle) in
   for cycle = from_cycle to to_cycle do
-    let step = ((cycle - 1) mod k.t_steps) + 1 in
-    let iter_idx = (cycle - 1) / k.t_steps in
-    let phase = Clock.phase_of_cycle k.clock cycle in
+    let step = !next_step and iter_idx = !next_iter and phase = !next_phase in
+    if step = k.t_steps then begin
+      next_step := 1;
+      incr next_iter
+    end
+    else incr next_step;
+    next_phase := if phase = phases then 1 else phase + 1;
     let first_eval = cycle = 1 in
+    let first_period = cycle <= k.t_steps in
     (* 1. Fresh inputs. *)
     if step = 1 && iter_idx > 0 then
-      apply_ports ~cycle ins.(iter_idx) k.direct_ports;
+      total :=
+        apply_ports k values val_stamp cells ~cycle ins.(iter_idx)
+          k.direct_ports !total;
     if step = k.t_steps && iter_idx + 1 < iterations then
-      apply_ports ~cycle ins.(iter_idx + 1) k.reg_ports;
+      total :=
+        apply_ports k values val_stamp cells ~cycle
+          ins.(iter_idx + 1)
+          k.reg_ports !total;
     (* 2. Control deltas. *)
-    let sc =
-      (if cycle <= k.t_steps then k.first_ctrl else k.steady_ctrl).(step - 1)
-    in
+    let sc = (if first_period then k.first_ctrl else k.steady_ctrl).(step - 1) in
     for i = 0 to Array.length sc.sc_sel - 1 do
       let mux_id, idx = sc.sc_sel.(i) in
       mux_sel.(mux_id) <- idx;
       ctrl_stamp.(mux_id) <- cycle;
-      charge cells total mux_id cat_mux_select k.e_mux_sel
+      total := charge cells mux_id cat_mux_select k.e_mux_sel !total
     done;
     for i = 0 to Array.length sc.sc_ops - 1 do
       let alu_id, code = sc.sc_ops.(i) in
       alu_op.(alu_id) <- code;
       op_stamp.(alu_id) <- cycle
     done;
-    charge cells total Activity.global_component cat_control sc.sc_ctrl_e;
+    total :=
+      charge cells Activity.global_component cat_control sc.sc_ctrl_e !total;
     let loads = k.loads_at.(step - 1) in
     let busy = k.busy_at.(step - 1) in
-    (* 3. Combinational propagation (skipping quiescent instructions). *)
-    let instrs = k.instrs in
-    for i = 0 to Array.length instrs - 1 do
-      match instrs.(i) with
+    (* 3. Combinational propagation over the instructions that can act
+       this step (skipping quiescent ones). *)
+    let walk = if first_period then k.walk_all else k.walk_at.(step - 1) in
+    for w = 0 to Array.length walk - 1 do
+      match instrs.(walk.(w)) with
       | I_mux { mx_id = id; mx_choices } ->
           let src = mx_choices.(mux_sel.(id)) in
           if
@@ -562,10 +689,12 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
             || (src >= 0 && val_stamp.(src) = cycle)
           then begin
             let v = src_val values src in
-            let h = B.popcount (values.(id) lxor v) in
+            let h = popcount (values.(id) lxor v) in
             if h > 0 then begin
-              charge cells total id cat_mux_data
-                (float_of_int h *. k.e_mux_data);
+              total :=
+                charge cells id cat_mux_data
+                  (float_of_int h *. k.e_mux_data)
+                  !total;
               values.(id) <- v;
               val_stamp.(id) <- cycle
             end
@@ -575,7 +704,7 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
           let is_busy = busy.(id) in
           if a.al_isolated && not is_busy then begin
             if alu_busy_prev.(id) then
-              charge cells total id cat_isolation k.e_iso_idle;
+              total := charge cells id cat_isolation k.e_iso_idle !total;
             alu_busy_prev.(id) <- false
           end
           else begin
@@ -589,15 +718,19 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
               let a_new = src_val values a.al_src_a in
               let b_new = src_val values a.al_src_b in
               let h =
-                B.popcount (alu_in_a.(id) lxor a_new)
-                + B.popcount (alu_in_b.(id) lxor b_new)
+                popcount (alu_in_a.(id) lxor a_new)
+                + popcount (alu_in_b.(id) lxor b_new)
                 + if op_stamp.(id) = cycle then width else 0
               in
               if h > 0 then begin
-                charge cells total id cat_alu_internal a.al_energy.(h);
+                total :=
+                  charge cells id cat_alu_internal a.al_energy.(h) !total;
                 let out = eval_code alu_op.(id) a_new b_new k.mask in
-                let ho = B.popcount (values.(id) lxor out) in
-                charge cells total id cat_data (float_of_int ho *. k.e_fu_out);
+                let ho = popcount (values.(id) lxor out) in
+                total :=
+                  charge cells id cat_data
+                    (float_of_int ho *. k.e_fu_out)
+                    !total;
                 if ho > 0 then begin
                   values.(id) <- out;
                   val_stamp.(id) <- cycle
@@ -606,8 +739,10 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
                 alu_in_b.(id) <- b_new
               end;
               if a.al_isolated && is_busy then
-                charge cells total id cat_isolation
-                  (float_of_int h *. k.e_iso)
+                total :=
+                  charge cells id cat_isolation
+                    (float_of_int h *. k.e_iso)
+                    !total
             end;
             alu_busy_prev.(id) <- is_busy
           end
@@ -619,22 +754,24 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
       let id = st.st_id in
       let loading = loads.(id) in
       if st.st_gated then begin
-        charge cells total id cat_clock k.e_tree2;
-        if loading then
-          charge cells total id cat_clock st.st_pin2
+        total := charge cells id cat_clock k.e_tree2 !total;
+        if loading then total := charge cells id cat_clock st.st_pin2 !total
       end
       else if phase = st.st_phase then
-        charge cells total id cat_clock st.st_clk2;
+        total := charge cells id cat_clock st.st_clk2 !total;
       if st.st_gated && loading <> load_prev.(id) then
-        charge cells total id cat_gating k.e_gate;
+        total := charge cells id cat_gating k.e_gate !total;
       load_prev.(id) <- loading;
       if loading then begin
         let v = src_val values st.st_input in
-        let h = B.popcount (values.(id) lxor v) in
+        let h = popcount (values.(id) lxor v) in
         if h > 0 then begin
-          charge cells total id cat_storage_write
-            (float_of_int h *. st.st_wr_e);
-          charge cells total id cat_data (float_of_int h *. st.st_out_e);
+          total :=
+            charge cells id cat_storage_write
+              (float_of_int h *. st.st_wr_e)
+              !total;
+          total :=
+            charge cells id cat_data (float_of_int h *. st.st_out_e) !total;
           values.(id) <- v;
           (* Readers see the write from the next cycle on. *)
           val_stamp.(id) <- cycle + 1
@@ -659,7 +796,20 @@ let exec_range k st ~ins ~iterations ?trace ?observer ~vcd_signals
       let col, src = taps.(i) in
       row.(col) <- src_val values src land k.mask
     done
-  done
+  done;
+  st.s_total.(0) <- !total;
+  (* Only isolated ALUs read [alu_busy_prev], so the steady walk skips
+     the busy edges of the others.  A full scan leaves every ALU's busy
+     line of the range's last step there; so does this. *)
+  if to_cycle >= from_cycle then begin
+    let busy = k.busy_at.((to_cycle - 1) mod k.t_steps) in
+    Array.iter
+      (function
+        | I_alu a when not a.al_isolated ->
+            alu_busy_prev.(a.al_id) <- busy.(a.al_id)
+        | I_alu _ | I_mux _ -> ())
+      instrs
+  end
 
 let finish k st ~iterations ~ins =
   let total_cycles = iterations * k.t_steps in

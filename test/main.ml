@@ -27,4 +27,5 @@ let () =
       ("shared-cache", Test_cache_share.suite);
       ("static", Test_static.suite);
       ("obs", Test_obs.suite);
+      ("cli", Test_cli.suite);
     ]

@@ -237,6 +237,105 @@ let test_allocation_free () =
       (Printf.sprintf "%.1f words allocated per extra simulated cycle (bound 2)"
          per_cycle)
 
+(* The paper's eight methods, as the paper tables and the benchmark's
+   paper_eval run them. *)
+let paper_methods =
+  [
+    Flow.Conventional_non_gated;
+    Flow.Conventional_gated;
+    Flow.Integrated 1;
+    Flow.Integrated 2;
+    Flow.Integrated 3;
+    Flow.Integrated 4;
+    Flow.Split 2;
+    Flow.Split 4;
+  ]
+
+let paper_kernels () =
+  List.concat_map
+    (fun w ->
+      let schedule = Mclock_workloads.Workload.schedule w in
+      List.map
+        (fun m ->
+          let design = Flow.synthesize ~method_:m ~name:"pin" schedule in
+          ( Printf.sprintf "%s/%s" w.Mclock_workloads.Workload.name
+              (Flow.method_label m),
+            design,
+            Compiled.compile tech design ))
+        paper_methods)
+    Mclock_workloads.Catalog.all
+
+let max_comp_id design =
+  List.fold_left
+    (fun acc c -> max acc (Comp.id c))
+    Activity.global_component
+    (Datapath.comps (Design.datapath design))
+
+(* The kernel's exact bits: an MD5 over each run's energy ([%h]), every
+   activity cell, every output row and the checkpoint bytes, across
+   the catalog and the paper's methods, at run lengths that cover the
+   first period alone (1), the switch to the steady period (2, 3) and
+   a long steady run (50).  The checkpoint holds every piece of run
+   state ([alu_busy_prev], stamps, held selects), so a walk that skips
+   an instruction must still leave that state exactly as a full scan
+   would.  The committed value was produced by the kernel that scanned
+   every instruction on every cycle. *)
+let kernel_bits_digest = "bc2fa94c15cd4624bab95fe2670812d1"
+
+let test_kernel_bits_pinned () =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (label, design, kernel) ->
+      let max_comp = max_comp_id design in
+      List.iter
+        (fun iterations ->
+          let r = Compiled.run ~seed:42 kernel ~iterations in
+          Printf.bprintf buf "%s %d %h\n" label iterations r.Sim.energy_pj;
+          for comp = 0 to max_comp do
+            List.iter
+              (fun category ->
+                Printf.bprintf buf "%h "
+                  (Activity.get r.Sim.activity ~comp ~category))
+              Activity.all_categories
+          done;
+          Array.iter
+            (fun row ->
+              Array.iter (fun v -> Printf.bprintf buf "%d " v) row;
+              Buffer.add_char buf '\n')
+            r.Sim.outputs;
+          let _, ck =
+            Compiled.run_with_checkpoint ~seed:42 kernel ~iterations
+          in
+          Buffer.add_string buf (Compiled.Checkpoint.encode ck))
+        [ 1; 2; 3; 50 ])
+    (paper_kernels ());
+  check Alcotest.string "kernel digest" kernel_bits_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Resuming from a checkpoint at every k in 1..4 (the first period, its
+   boundary and the steady state) reproduces the fresh run at 8
+   computations: the same energy, cells and outputs, and the same
+   checkpoint bytes. *)
+let test_resume_every_k () =
+  List.iter
+    (fun (label, _, kernel) ->
+      let n = 8 in
+      let fresh, fresh_ck =
+        Compiled.run_with_checkpoint ~seed:42 kernel ~iterations:n
+      in
+      let fresh_bytes = Compiled.Checkpoint.encode fresh_ck in
+      for k = 1 to 4 do
+        let _, ck =
+          Compiled.run_with_checkpoint ~seed:42 kernel ~iterations:k
+        in
+        let resumed, ck' = Compiled.resume kernel ck ~iterations:n in
+        let label = Printf.sprintf "%s/%d->%d" label k n in
+        assert_identical label fresh resumed;
+        if Compiled.Checkpoint.encode ck' <> fresh_bytes then
+          fail (label ^ ": checkpoint bytes differ")
+      done)
+    (paper_kernels ())
+
 let suite =
   differential_tests
   @ [
@@ -246,4 +345,6 @@ let suite =
       ("observer parity", `Quick, test_observer_parity);
       ("out-of-range mux select raises", `Quick, test_bad_select_raises);
       ("per-cycle path allocates nothing", `Quick, test_allocation_free);
+      ("kernel bits pinned", `Quick, test_kernel_bits_pinned);
+      ("resume = fresh from every k in 1..4", `Quick, test_resume_every_k);
     ]

@@ -182,6 +182,83 @@ let test_report_reduction_math () =
   check (Alcotest.float 1e-9) "10%% area growth" 10.
     (Mclock_power.Report.area_increase_vs ~baseline candidate)
 
+(* --- Shared golden tables ------------------------------------------------ *)
+
+let behaviour src =
+  let graph = Mclock_lang.Compile.compile_string src in
+  (graph, Mclock_sched.Force_directed.run graph)
+
+(* [z := a + b] where the graph says [z := a - b]: a design that
+   simulates cleanly and fails verification on [z] only. *)
+let pair_source z =
+  "behavior pair\ninput a, b\noutput y, z\ny := (a * b) + a\nz := " ^ z ^ "\n"
+
+(* [evaluate_batch] verifies every design of one graph and stimulus
+   against one golden table; the reports, a broken design's included,
+   must be those of per-design [evaluate], at any job count, and the
+   table's mismatch list must be the per-design check's. *)
+let test_batch_golden_matches_per_design () =
+  let seed = 5 and iterations = 40 in
+  let pair, pair_schedule = behaviour (pair_source "a - b") in
+  let _, broken_schedule = behaviour (pair_source "a + b") in
+  let broken =
+    Flow.synthesize ~method_:(Flow.Integrated 2) ~name:"broken" broken_schedule
+  in
+  let suite graph schedule =
+    List.map
+      (fun (m, design) -> (Flow.method_label m, design, graph))
+      (Flow.standard_suite ~name:(Mclock_dfg.Graph.name graph) schedule)
+  in
+  let facet = Mclock_workloads.Facet.t in
+  let cells =
+    suite
+      (Mclock_workloads.Workload.graph facet)
+      (Mclock_workloads.Workload.schedule facet)
+    @ [ ("broken", broken, pair) ]
+    @ suite pair pair_schedule
+  in
+  let per_design =
+    List.map
+      (fun (label, design, graph) ->
+        Mclock_power.Report.evaluate ~seed ~iterations ~label tech design graph)
+      cells
+  in
+  check Alcotest.(list bool) "only the broken design fails"
+    (List.map (fun (label, _, _) -> label <> "broken") cells)
+    (List.map (fun r -> r.Mclock_power.Report.functional_ok) per_design);
+  List.iter
+    (fun jobs ->
+      let batch =
+        Mclock_exec.Pool.with_pool ~jobs (fun pool ->
+            Mclock_power.Report.evaluate_batch ~pool ~seed ~iterations tech
+              cells)
+      in
+      if batch <> per_design then
+        Alcotest.fail (Printf.sprintf "jobs %d: batch reports differ" jobs))
+    [ 1; 2 ];
+  let module V = Mclock_sim.Verify in
+  let sim =
+    Mclock_sim.Compiled.run ~seed
+      (Mclock_sim.Compiled.compile tech broken)
+      ~iterations
+  in
+  let width = Mclock_rtl.Datapath.width (Mclock_rtl.Design.datapath broken) in
+  let mismatches r = List.map (Fmt.str "%a" V.pp_mismatch) r.V.mismatches in
+  let per_design = mismatches (V.check ~width pair sim) in
+  let table = V.expected ~seed ~iterations broken pair in
+  check Alcotest.(list string) "same mismatch list" per_design
+    (mismatches (V.check_expected table sim));
+  check Alcotest.bool "mismatches found" true (per_design <> []);
+  (* A run of another stimulus is refused, not misjudged. *)
+  let other =
+    Mclock_sim.Compiled.run ~seed:(seed + 1)
+      (Mclock_sim.Compiled.compile tech broken)
+      ~iterations
+  in
+  match V.check_expected table other with
+  | _ -> Alcotest.fail "a table accepted another stimulus"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     ("alu area monotone", `Quick, test_alu_area_monotone_in_functions);
@@ -198,5 +275,7 @@ let suite =
     ("area latches shrink storage", `Quick, test_area_latches_shrink_storage);
     ("report table rendering", `Quick, test_report_table_rendering);
     ("report reduction math", `Quick, test_report_reduction_math);
+    ("batch golden == per-design verify", `Quick,
+      test_batch_golden_matches_per_design);
   ]
   @ ordering_tests
